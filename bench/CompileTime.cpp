@@ -10,7 +10,7 @@
 
 #include "alias/ModRef.h"
 #include "analysis/CfgNormalize.h"
-#include "driver/CompileCache.h"
+#include "driver/ArtifactCache.h"
 #include "driver/Compiler.h"
 #include "driver/PassTiming.h"
 #include "driver/SuiteRunner.h"
@@ -135,7 +135,7 @@ BENCHMARK_CAPTURE(BM_CompileSuiteProgram, bison, std::string("bison"));
 // --cache-bench: cached vs uncached whole-suite compile sweep
 // ---------------------------------------------------------------------------
 //
-// Measures what the shared-prefix CompileCache buys `rpcc --suite`: for
+// Measures what the shared-prefix ArtifactCache buys `rpcc --suite`: for
 // each program, one sweep compiles the four matrix configurations —
 // {MOD/REF, points-to} x {without, with promotion} — from scratch, and one
 // forks them from a fresh cache (frontend once, each analysis once). Each
@@ -162,13 +162,17 @@ std::vector<CompilerConfig> suiteMatrix() {
 /// suite run pays once per program.
 double sweepOnce(const std::string &Src,
                  const std::vector<CompilerConfig> &Matrix, bool Cached) {
-  std::unique_ptr<CompileCache> Cache;
+  std::unique_ptr<ArtifactCache> Cache;
   if (Cached)
-    Cache = std::make_unique<CompileCache>();
+    Cache = std::make_unique<ArtifactCache>(SIZE_MAX);
   double T0 = timingNowMs();
   for (const CompilerConfig &Cfg : Matrix) {
-    CompileOutput Out = Cache ? Cache->compile("bench", Src, Cfg)
-                              : compileProgram(Src, Cfg);
+    ArtifactCache::Outcome O;
+    CompileOutput Out =
+        Cache ? compileSuffix(
+                    Cache->get(Src, Cfg.Analysis, O)->analyzed(Cfg.Analysis),
+                    Cfg)
+              : compileProgram(Src, Cfg);
     if (!Out.Ok) {
       std::fprintf(stderr, "error: compile failure:\n%s", Out.Errors.c_str());
       std::exit(1);

@@ -1,11 +1,11 @@
-//===- served/ArtifactCache.cpp - Coalescing LRU artifact cache -----------===//
+//===- driver/ArtifactCache.cpp - Shared-prefix artifact cache ------------===//
 //
 // Part of rpcc, a reproduction of "Register Promotion in C Programs"
 // (Cooper & Lu, PLDI 1997). MIT license; see LICENSE.
 //
 //===----------------------------------------------------------------------===//
 
-#include "served/ArtifactCache.h"
+#include "driver/ArtifactCache.h"
 
 #include "driver/PassTiming.h"
 #include "obs/Metrics.h"
@@ -16,42 +16,44 @@ using namespace rpcc;
 
 namespace {
 
-/// served.* cache metric handles, registered once. Hit/miss/coalesce splits
-/// are Volatile: which of N racing connections pays the miss is a scheduling
-/// accident. Build latency is count-stable per corpus.
-struct ServedCacheMetrics {
-  Counter Hits, Misses, Evictions, Coalesced, Bypass;
+/// cache.* metric handles, registered once. Hit/miss/coalesce splits are
+/// Volatile: which of N racing workers pays the miss is a scheduling
+/// accident. The stage latencies are count-stable: how many frontends and
+/// analyses run is deterministic, their durations are wall time.
+struct CacheMetrics {
+  Counter Hits, Misses, Evictions, Coalesced;
   Gauge Bytes, Entries, Inflight;
-  Histogram BuildUs;
-  ServedCacheMetrics() {
+  Histogram FrontendUs, AnalysisUs;
+  CacheMetrics() {
     auto &R = MetricsRegistry::global();
-    Hits = R.counter("served.cache_hits", {}, MetricStability::Volatile,
-                     "ops", "Artifact cache hits (request served from LRU).");
-    Misses = R.counter("served.cache_misses", {}, MetricStability::Volatile,
-                       "ops", "Artifact cache misses (this request built).");
-    Evictions =
-        R.counter("served.cache_evictions", {}, MetricStability::Volatile,
-                  "ops", "Whole artifacts evicted to respect --cache-mb.");
-    Coalesced =
-        R.counter("served.coalesced", {}, MetricStability::Volatile, "ops",
-                  "Requests that attached to another request's build.");
-    Bypass = R.counter("served.cache_bypass", {}, MetricStability::Volatile,
-                       "ops",
-                       "Content-hash collisions compiled privately.");
-    Bytes = R.gauge("served.cache_bytes", {}, MetricStability::Volatile,
-                    "bytes", "Estimated bytes held by cached artifacts.");
-    Entries = R.gauge("served.cache_entries", {}, MetricStability::Volatile,
-                      "ops", "Artifacts resident in the cache.");
-    Inflight = R.gauge("served.inflight", {}, MetricStability::Volatile,
-                       "ops", "Artifact builds currently in flight.");
-    BuildUs = R.histogram("served.build_us", {}, MetricStability::Volatile,
-                          "us",
-                          "Frontend+analysis latency for cache misses.");
+    Hits = R.counter("cache.hits", {}, MetricStability::Volatile, "ops",
+                     "Prefix cache lookups that ran no stage.");
+    Misses = R.counter("cache.misses", {}, MetricStability::Volatile, "ops",
+                       "Prefix cache lookups that ran the frontend or an "
+                       "analysis.");
+    Evictions = R.counter("cache.evictions", {}, MetricStability::Volatile,
+                          "ops", "Whole artifacts evicted to respect the "
+                                 "byte budget.");
+    Coalesced = R.counter("cache.coalesced", {}, MetricStability::Volatile,
+                          "ops",
+                          "Lookups that attached to another lookup's build.");
+    Bytes = R.gauge("cache.bytes", {}, MetricStability::Volatile, "bytes",
+                    "Estimated bytes held by cached artifacts.");
+    Entries = R.gauge("cache.entries", {}, MetricStability::Volatile, "ops",
+                      "Artifacts resident in the cache.");
+    Inflight = R.gauge("cache.inflight", {}, MetricStability::Volatile, "ops",
+                       "Artifact builds currently in flight.");
+    FrontendUs = R.histogram("compile.frontend_us", {},
+                             MetricStability::CountStable, "us",
+                             "Frontend stage latency (lex..cfg-normalize).");
+    AnalysisUs = R.histogram("compile.analysis_us", {},
+                             MetricStability::CountStable, "us",
+                             "Alias analysis stage latency.");
   }
 };
 
-ServedCacheMetrics &servedMetrics() {
-  static ServedCacheMetrics M;
+CacheMetrics &cacheMetrics() {
+  static CacheMetrics M;
   return M;
 }
 
@@ -66,12 +68,28 @@ size_t moduleBytes(const std::unique_ptr<Module> &M) {
   return M ? static_cast<size_t>(countStaticOps(*M)) * kBytesPerOp : 0;
 }
 
-size_t artifactBytes(const ServedArtifact &Art) {
+size_t artifactBytes(const PrefixArtifact &Art) {
   size_t N = kEntryOverhead + Art.Source.size() + Art.FA.Errors.size() +
              moduleBytes(Art.FA.M);
   for (const AnalyzedModule &AM : Art.AM)
     N += AM.Errors.size() + moduleBytes(AM.M);
   return N;
+}
+
+std::shared_ptr<PrefixArtifact> newArtifact(const std::string &Key,
+                                            const std::string &Source) {
+  auto Art = std::make_shared<PrefixArtifact>();
+  Art->Key = Key;
+  Art->Source = Source;
+  return Art;
+}
+
+void runFrontendStage(PrefixArtifact &Art, const StageOptions &SO,
+                      ArtifactCache::Outcome &Out) {
+  uint64_t T0 = metricsNowUs();
+  Art.FA = runFrontend(Art.Source, SO);
+  cacheMetrics().FrontendUs.observe(metricsNowUs() - T0);
+  Out.Built = true;
 }
 
 } // namespace
@@ -98,7 +116,16 @@ std::string ArtifactCache::contentKey(const std::string &Source) {
 }
 
 ArtifactCache::ArtifactCache(size_t BudgetBytes) : Budget(BudgetBytes) {
-  servedMetrics(); // register gauges before the first scrape
+  cacheMetrics(); // register gauges before the first scrape
+}
+
+ArtifactCache::~ArtifactCache() {
+  // Short-lived caches (one per suite run or fuzz seed) take their share of
+  // the process-wide gauges with them.
+  CacheMetrics &CM = cacheMetrics();
+  CM.Bytes.add(-PubBytes);
+  CM.Entries.add(-PubEntries);
+  CM.Inflight.add(-PubInflight);
 }
 
 size_t ArtifactCache::bytes() const {
@@ -111,14 +138,13 @@ size_t ArtifactCache::entries() const {
   return Map.size();
 }
 
-std::shared_ptr<ServedArtifact> ArtifactCache::peek(const std::string &Key) {
+std::shared_ptr<PrefixArtifact> ArtifactCache::peek(const std::string &Key) {
   std::lock_guard<std::mutex> L(Mu);
   auto It = Map.find(Key);
   return It == Map.end() ? nullptr : It->second.Art;
 }
 
 void ArtifactCache::evictOverBudgetLocked(const std::string &Keep) {
-  ServedCacheMetrics &SM = servedMetrics();
   while (BytesUsed > Budget && !Lru.empty()) {
     const std::string &Victim = Lru.back();
     if (Victim == Keep)
@@ -130,31 +156,38 @@ void ArtifactCache::evictOverBudgetLocked(const std::string &Keep) {
     Map.erase(It);
     Lru.pop_back();
     Evictions.fetch_add(1, std::memory_order_relaxed);
-    SM.Evictions.inc();
+    cacheMetrics().Evictions.inc();
   }
   publishGaugesLocked();
 }
 
 void ArtifactCache::publishGaugesLocked() {
-  ServedCacheMetrics &SM = servedMetrics();
+  CacheMetrics &CM = cacheMetrics();
   int64_t B = static_cast<int64_t>(BytesUsed);
   int64_t E = static_cast<int64_t>(Map.size());
   int64_t I = static_cast<int64_t>(Building.size());
-  SM.Bytes.add(B - PubBytes);
-  SM.Entries.add(E - PubEntries);
-  SM.Inflight.add(I - PubInflight);
+  CM.Bytes.add(B - PubBytes);
+  CM.Entries.add(E - PubEntries);
+  CM.Inflight.add(I - PubInflight);
   PubBytes = B;
   PubEntries = E;
   PubInflight = I;
 }
 
-void ArtifactCache::ensureAnalyzed(const std::shared_ptr<ServedArtifact> &Art,
-                                   AnalysisKind Kind) {
+void ArtifactCache::ensureAnalyzed(const std::shared_ptr<PrefixArtifact> &Art,
+                                   AnalysisKind Kind, const StageOptions &SO,
+                                   Outcome &Out) {
   size_t Idx = Kind == AnalysisKind::PointsTo ? 1 : 0;
   std::call_once(Art->AnalyzedOnce[Idx], [&] {
-    if (Art->FA.Ok)
-      Art->AM[Idx] = analyzeFrontend(Art->FA, Kind);
-    else {
+    Out.Built = true;
+    if (Art->FA.Ok) {
+      StageOptions AnalysisSO = SO;
+      if (!AnalysisSO.TraceLabel.empty())
+        AnalysisSO.TraceLabel += Idx ? "/points-to" : "/modref";
+      uint64_t T0 = metricsNowUs();
+      Art->AM[Idx] = analyzeFrontend(Art->FA, Kind, AnalysisSO);
+      cacheMetrics().AnalysisUs.observe(metricsNowUs() - T0);
+    } else {
       // Frontend already failed; stamp the analysis stage with the same
       // errors so callers can consult AM[Kind] uniformly.
       Art->AM[Idx].Ok = false;
@@ -180,86 +213,70 @@ void ArtifactCache::ensureAnalyzed(const std::shared_ptr<ServedArtifact> &Art,
   });
 }
 
-std::shared_ptr<ServedArtifact>
-ArtifactCache::get(const std::string &Source, AnalysisKind Kind,
-                   Outcome &Out) {
+std::shared_ptr<PrefixArtifact>
+ArtifactCache::get(const std::string &Source, AnalysisKind Kind, Outcome &Out,
+                   const StageOptions &SO) {
   Out = Outcome();
-  ServedCacheMetrics &SM = servedMetrics();
   std::string Key = contentKey(Source);
 
+  std::shared_ptr<PrefixArtifact> Art;
   std::shared_ptr<Inflight> Inf;
-  bool Builder = false;
   {
-    std::unique_lock<std::mutex> L(Mu);
+    std::lock_guard<std::mutex> L(Mu);
     auto It = Map.find(Key);
     if (It != Map.end()) {
+      // A 128-bit collision leaves the resident entry undisturbed and
+      // compiles privately below.
       if (It->second.Art->Source == Source) {
-        // Hit: move to MRU and reuse.
         Lru.splice(Lru.begin(), Lru, It->second.LruIt);
-        std::shared_ptr<ServedArtifact> Art = It->second.Art;
-        L.unlock();
-        Hits.fetch_add(1, std::memory_order_relaxed);
-        SM.Hits.inc();
+        Art = It->second.Art;
         Out.Hit = true;
-        ensureAnalyzed(Art, Kind);
-        return Art;
+      } else {
+        Out.Bypass = true;
       }
-      // 128-bit collision: do not disturb the resident entry; compile
-      // privately below.
-      L.unlock();
-      Bypass.fetch_add(1, std::memory_order_relaxed);
-      SM.Bypass.inc();
-      Out.Bypass = true;
-      auto Art = std::make_shared<ServedArtifact>();
-      Art->Key = Key;
-      Art->Source = Source;
-      Art->FA = runFrontend(Source);
-      ensureAnalyzed(Art, Kind);
-      return Art;
-    }
-    auto BIt = Building.find(Key);
-    if (BIt != Building.end()) {
+    } else if (auto BIt = Building.find(Key); BIt != Building.end()) {
       Inf = BIt->second;
     } else {
       Inf = std::make_shared<Inflight>();
       Building.emplace(Key, Inf);
-      Builder = true;
       publishGaugesLocked();
+      Out.Miss = true;
     }
   }
 
-  if (!Builder) {
-    // Coalesce: wait for the builder's publication.
-    std::unique_lock<std::mutex> L(Inf->Mu);
-    Inf->Cv.wait(L, [&] { return Inf->Done; });
-    std::shared_ptr<ServedArtifact> Art = Inf->Art;
-    L.unlock();
-    if (Art->Source == Source) {
-      Coalesced.fetch_add(1, std::memory_order_relaxed);
-      SM.Coalesced.inc();
-      Out.Coalesced = true;
-      ensureAnalyzed(Art, Kind);
-      return Art;
+  if (Out.Miss) {
+    Art = build(Key, Source, Kind, Inf, SO, Out);
+  } else {
+    if (Inf) {
+      // Coalesce: wait for the builder's publication.
+      std::unique_lock<std::mutex> L(Inf->Mu);
+      Inf->Cv.wait(L, [&] { return Inf->Done; });
+      if (Inf->Art->Source == Source) {
+        Art = Inf->Art;
+        Out.Coalesced = true;
+        Coalesced.fetch_add(1, std::memory_order_relaxed);
+        cacheMetrics().Coalesced.inc();
+      } else {
+        Out.Bypass = true; // collided with the in-flight build's source
+      }
     }
-    // Collided with the in-flight build's source: private compile.
-    Bypass.fetch_add(1, std::memory_order_relaxed);
-    SM.Bypass.inc();
-    Out.Bypass = true;
-    auto Mine = std::make_shared<ServedArtifact>();
-    Mine->Key = Key;
-    Mine->Source = Source;
-    Mine->FA = runFrontend(Source);
-    ensureAnalyzed(Mine, Kind);
-    return Mine;
+    if (Out.Bypass) {
+      Art = newArtifact(Key, Source);
+      runFrontendStage(*Art, SO, Out);
+    }
+    ensureAnalyzed(Art, Kind, SO, Out);
   }
 
-  // Builder path: compile outside the cache lock, publish, insert.
-  Misses.fetch_add(1, std::memory_order_relaxed);
-  SM.Misses.inc();
-  Out.Miss = true;
-  auto Art = std::make_shared<ServedArtifact>();
-  Art->Key = Key;
-  Art->Source = Source;
+  (Out.Built ? Misses : Hits).fetch_add(1, std::memory_order_relaxed);
+  (Out.Built ? cacheMetrics().Misses : cacheMetrics().Hits).inc();
+  return Art;
+}
+
+std::shared_ptr<PrefixArtifact>
+ArtifactCache::build(const std::string &Key, const std::string &Source,
+                     AnalysisKind Kind, const std::shared_ptr<Inflight> &Inf,
+                     const StageOptions &SO, Outcome &Out) {
+  auto Art = newArtifact(Key, Source);
 
   // If anything below throws (e.g. std::bad_alloc on a hostile source),
   // the Building slot must still be freed and Done published, or every
@@ -270,7 +287,7 @@ ArtifactCache::get(const std::string &Source, AnalysisKind Kind,
     ArtifactCache *C;
     const std::string &Key;
     std::shared_ptr<Inflight> Inf;
-    std::shared_ptr<ServedArtifact> Art;
+    std::shared_ptr<PrefixArtifact> Art;
     bool Armed = true;
     ~BuildGuard() {
       if (!Armed)
@@ -292,10 +309,8 @@ ArtifactCache::get(const std::string &Source, AnalysisKind Kind,
     }
   } Guard{this, Key, Inf, Art};
 
-  uint64_t T0 = metricsNowUs();
-  Art->FA = runFrontend(Source);
-  ensureAnalyzed(Art, Kind);
-  SM.BuildUs.observe(metricsNowUs() - T0);
+  runFrontendStage(*Art, SO, Out);
+  ensureAnalyzed(Art, Kind, SO, Out);
   Art->Charged.store(artifactBytes(*Art), std::memory_order_relaxed);
 
   {

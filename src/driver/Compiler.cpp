@@ -7,6 +7,7 @@
 #include "analysis/CfgNormalize.h"
 #include "frontend/Lowering.h"
 #include "ir/Verifier.h"
+#include "obs/Metrics.h"
 #include "obs/Remark.h"
 #include "obs/ResidualAudit.h"
 #include "obs/Trace.h"
@@ -204,21 +205,28 @@ AnalyzedModule rpcc::analyzeFrontend(const FrontendArtifact &FA,
 
 CompileOutput rpcc::compileSuffix(const AnalyzedModule &AM,
                                   const CompilerConfig &Cfg) {
+  static Histogram SuffixUs = MetricsRegistry::global().histogram(
+      "compile.suffix_us", {}, MetricStability::CountStable, "us",
+      "Config-dependent compile suffix latency.");
+  uint64_t StartUs = metricsNowUs();
   CompileOutput Out;
-  PipelineClock Clock(Out, Cfg.CollectTiming);
-  Out.M = AM.M ? AM.M->clone() : std::make_unique<Module>();
-  if (!AM.Ok) {
-    Out.Errors = AM.Errors;
-    return Out;
+  {
+    PipelineClock Clock(Out, Cfg.CollectTiming);
+    Out.M = AM.M ? AM.M->clone() : std::make_unique<Module>();
+    if (AM.Ok) {
+      assert(Cfg.Analysis == AM.Analysis &&
+             "suffix config disagrees with the analysis baked into the module");
+      PassRunner R{*Out.M, Cfg.CollectTiming ? &Out.Timing : nullptr,
+                   Cfg.Trace, Cfg.TraceLabel};
+      double T0 = Cfg.CollectTiming ? timingNowMs() : 0;
+      suffixInto(*Out.M, Out, Cfg, R);
+      if (Cfg.CollectTiming)
+        Out.Timing.SuffixMillis = timingNowMs() - T0;
+    } else {
+      Out.Errors = AM.Errors;
+    }
   }
-  assert(Cfg.Analysis == AM.Analysis &&
-         "suffix config disagrees with the analysis baked into the module");
-  PassRunner R{*Out.M, Cfg.CollectTiming ? &Out.Timing : nullptr, Cfg.Trace,
-               Cfg.TraceLabel};
-  double T0 = Cfg.CollectTiming ? timingNowMs() : 0;
-  suffixInto(*Out.M, Out, Cfg, R);
-  if (Cfg.CollectTiming)
-    Out.Timing.SuffixMillis = timingNowMs() - T0;
+  SuffixUs.observe(metricsNowUs() - StartUs);
   return Out;
 }
 

@@ -125,7 +125,7 @@ struct CompileOutput {
 //                         Forks the analyzed module per cell.
 //
 // Stages never mutate their input artifact, so one artifact can feed any
-// number of concurrent downstream stages (see driver/CompileCache.h).
+// number of concurrent downstream stages (see driver/ArtifactCache.h).
 // compileProgram() below runs all three stages in place with no forks; it
 // produces byte-identical results because every cross-stage handoff is a
 // faithful deep copy.
@@ -139,8 +139,8 @@ struct StageOptions {
   /// When non-null, stage passes add spans (category "pass") here.
   TraceCollector *Trace = nullptr;
   /// Trace span label. Callers that share artifacts across cells (the
-  /// compile cache) pass the program name, not a cell name, so the trace
-  /// skeleton does not depend on which cell triggered the stage.
+  /// suite's artifact cache) pass the program name, not a cell name, so the
+  /// trace skeleton does not depend on which cell triggered the stage.
   std::string TraceLabel;
 };
 
@@ -181,7 +181,8 @@ AnalyzedModule analyzeFrontend(const FrontendArtifact &FA, AnalysisKind Kind,
 /// Runs the configuration-dependent suffix (post-analysis hook through
 /// verification and the residual audit) on a fresh fork of \p AM. \p AM is
 /// not mutated, so concurrent calls against one analyzed module are safe.
-/// Cfg.Analysis must match AM.Analysis.
+/// Cfg.Analysis must match AM.Analysis. A failed \p AM yields its errors.
+/// Every call records its latency in compile.suffix_us.
 CompileOutput compileSuffix(const AnalyzedModule &AM,
                             const CompilerConfig &Cfg);
 

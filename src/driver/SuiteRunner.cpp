@@ -2,7 +2,7 @@
 
 #include "driver/SuiteRunner.h"
 
-#include "driver/CompileCache.h"
+#include "driver/ArtifactCache.h"
 #include "obs/Metrics.h"
 #include "obs/Remark.h"
 #include "obs/TagProfile.h"
@@ -10,6 +10,7 @@
 #include "support/Format.h"
 #include "support/ThreadPool.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -24,11 +25,12 @@ using namespace rpcc;
 namespace {
 
 /// Compiles and runs one matrix cell. The cell owns its Module (forked from
-/// \p Cache when caching, built from source when not) and RemarkEngine, so
-/// any number of cells may run on different threads concurrently.
+/// \p Cache's prefix when caching, built from source when not) and
+/// RemarkEngine, so any number of cells may run on different threads
+/// concurrently.
 ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
                         int A, int P, const SuiteOptions &Opts,
-                        CompileCache *Cache, TimingReport &Timing) {
+                        ArtifactCache *Cache, TimingReport &Timing) {
   CompilerConfig Cfg;
   Cfg.Analysis = A == 0 ? AnalysisKind::ModRef : AnalysisKind::PointsTo;
   Cfg.ScalarPromotion = P == 1;
@@ -48,8 +50,18 @@ ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
 
   double CellT0 = Opts.Trace ? timingNowMs() : 0;
   ConfigCounts C;
-  CompileOutput Out =
-      Cache ? Cache->compile(Name, Source, Cfg) : compileProgram(Source, Cfg);
+  CompileOutput Out;
+  if (Cache) {
+    // Prefix spans carry the program name, not the cell name, so the trace
+    // skeleton does not depend on which cell built the prefix.
+    ArtifactCache::Outcome O;
+    auto Art = Cache->get(Source, Cfg.Analysis, O,
+                          {Opts.CollectTiming, Opts.Trace, Name});
+    Out = compileSuffix(Art->analyzed(Cfg.Analysis), Cfg);
+    (O.Built ? Out.Timing.CacheMisses : Out.Timing.CacheHits) = 1;
+  } else {
+    Out = compileProgram(Source, Cfg);
+  }
   if (!Out.Ok) {
     C.Error = Out.Errors;
     Timing = std::move(Out.Timing);
@@ -63,7 +75,7 @@ ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
   // --no-compile-cache is a whole-pipeline A/B switch: it bypasses the jit's
   // native-code cache along with the frontend compile cache, so a cached run
   // can be diffed against a every-stage-from-scratch run.
-  IOpts.JitCodeCache = Opts.UseCompileCache;
+  IOpts.JitCodeCache = Opts.UseCaches;
   if (ProfileThisCell) {
     Meta = ProfileMeta::build(*Out.M);
     IOpts.Profile = &Meta;
@@ -179,7 +191,7 @@ WorkerFault cellFault(const SuiteOptions &Opts, const std::string &Name,
 /// or OOMs becomes a classified error cell; the suite keeps going.
 ConfigCounts runCell(const std::string &Name, const std::string &Source,
                      int A, int P, const SuiteOptions &Opts,
-                     CompileCache *Cache, TimingReport &Timing) {
+                     ArtifactCache *Cache, TimingReport &Timing) {
   // Parent-side progress tally for the heartbeat, covering the inline and
   // sandboxed paths alike (a dead child still finishes its cell).
   static Counter CellsDone = MetricsRegistry::global().counter(
@@ -274,6 +286,23 @@ void mergeCellTimings(ProgramResults &PR, const TimingReport Cells[4]) {
     PR.Timing.merge(Cells[Cell]);
 }
 
+/// Merges the timing of \p Source's cached prefix stages (frontend plus
+/// each analysis, their wall time counted as FrontendMillis) into \p PR.
+/// Call after all of the program's cells have finished.
+void mergePrefixTiming(ProgramResults &PR, ArtifactCache &Cache,
+                       const std::string &Source) {
+  std::shared_ptr<PrefixArtifact> Art =
+      Cache.peek(ArtifactCache::contentKey(Source));
+  if (!Art) // sandboxed cells compile in their children
+    return;
+  PR.Timing.merge(Art->FA.Timing);
+  PR.Timing.FrontendMillis += Art->FA.WallMillis;
+  for (const AnalyzedModule &AM : Art->AM) {
+    PR.Timing.merge(AM.Timing);
+    PR.Timing.FrontendMillis += AM.WallMillis;
+  }
+}
+
 } // namespace
 
 ProgramResults rpcc::runAllConfigs(const std::string &Name,
@@ -281,10 +310,9 @@ ProgramResults rpcc::runAllConfigs(const std::string &Name,
                                    const SuiteOptions &Opts) {
   ProgramResults PR;
   PR.Name = Name;
-  std::unique_ptr<CompileCache> Cache;
-  if (Opts.UseCompileCache)
-    Cache = std::make_unique<CompileCache>(
-        CompileCache::Options{Opts.CollectTiming, Opts.Trace});
+  std::unique_ptr<ArtifactCache> Cache;
+  if (Opts.UseCaches)
+    Cache = std::make_unique<ArtifactCache>(SIZE_MAX);
   TimingReport CellTiming[4];
   parallelFor(Opts.Jobs, 4, [&](size_t Cell) {
     int A = static_cast<int>(Cell) / 2, P = static_cast<int>(Cell) % 2;
@@ -294,7 +322,7 @@ ProgramResults rpcc::runAllConfigs(const std::string &Name,
   if (Opts.CollectTiming) {
     mergeCellTimings(PR, CellTiming);
     if (Cache)
-      PR.Timing.merge(Cache->sharedTiming(Name));
+      mergePrefixTiming(PR, *Cache, Source);
   }
   applyBaselineChecks(PR);
   return PR;
@@ -319,10 +347,9 @@ std::vector<ProgramResults> rpcc::runSuite(const std::vector<std::string> &Names
 
   // One cache for the whole suite: each program's prefix compiles once and
   // its four cells fork it, whichever workers get there first.
-  std::unique_ptr<CompileCache> Cache;
-  if (Opts.UseCompileCache)
-    Cache = std::make_unique<CompileCache>(
-        CompileCache::Options{Opts.CollectTiming, Opts.Trace});
+  std::unique_ptr<ArtifactCache> Cache;
+  if (Opts.UseCaches)
+    Cache = std::make_unique<ArtifactCache>(SIZE_MAX);
 
   // One job per (program, cell): 56 for the paper's 14x4 matrix. Finer
   // granularity than per-program keeps all workers busy even when one
@@ -341,7 +368,7 @@ std::vector<ProgramResults> rpcc::runSuite(const std::vector<std::string> &Names
     if (Opts.CollectTiming) {
       mergeCellTimings(All[I], &CellTiming[I * 4]);
       if (Cache)
-        All[I].Timing.merge(Cache->sharedTiming(Names[I]));
+        mergePrefixTiming(All[I], *Cache, Sources[I]);
     }
     applyBaselineChecks(All[I]);
   }

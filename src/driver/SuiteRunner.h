@@ -54,12 +54,13 @@ struct SuiteOptions {
   /// collector, labeled "program/analysis+promo".
   TraceCollector *Trace = nullptr;
   /// Share the configuration-independent pipeline prefix across cells
-  /// through a CompileCache: the frontend runs once per program and each
+  /// through an ArtifactCache: the frontend runs once per program and each
   /// alias analysis once per (program, kind); every cell then forks the
-  /// cached analyzed module. Results are byte-identical either way — the
-  /// flag exists for A/B verification (`--no-compile-cache`) and compile-
-  /// time benchmarking.
-  bool UseCompileCache = true;
+  /// cached analyzed module, and the jit reuses native code across cells
+  /// (InterpOptions::JitCodeCache). Results are byte-identical either way:
+  /// the flag exists for A/B verification (`--no-compile-cache`) and
+  /// compile-time benchmarking.
+  bool UseCaches = true;
   /// Run every cell in a forked sandbox (driver/JobRunner): a crashing,
   /// hanging, or OOMing cell becomes a classified table entry instead of
   /// killing the suite. Healthy cells produce byte-identical tables either

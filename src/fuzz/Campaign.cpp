@@ -2,7 +2,7 @@
 
 #include "fuzz/Campaign.h"
 
-#include "driver/CompileCache.h"
+#include "driver/ArtifactCache.h"
 #include "driver/PassTiming.h"
 #include "frontend/Lowering.h"
 #include "fuzz/DifferentialOracle.h"
@@ -15,6 +15,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -31,7 +32,7 @@ InterpOptions fuzzInterpOptions(InterpEngine Engine, bool UseCaches) {
   // more than this is a generator bug worth flagging loudly.
   IO.MaxSteps = uint64_t(1) << 26;
   // --no-compile-cache turns off the jit's native-code cache along with the
-  // frontend cache, so campaigns can A/B a fully-from-scratch pipeline.
+  // prefix cache, so campaigns can A/B a fully-from-scratch pipeline.
   IO.JitCodeCache = UseCaches;
   return IO;
 }
@@ -52,7 +53,7 @@ struct SeedOutcome {
 /// diff oracle: every matrix cell must agree on behavior. Records per-cell
 /// load counts for the corpus-level promotion check.
 bool checkDiff(const std::string &Src, const std::vector<FuzzConfig> &Matrix,
-               InterpEngine Engine, CompileCache *Cache, SeedOutcome &Out) {
+               InterpEngine Engine, ArtifactCache *Cache, SeedOutcome &Out) {
   OracleResult R = checkProgram(Src, Matrix,
                               fuzzInterpOptions(Engine, Cache != nullptr), Cache);
   if (R.Ok) {
@@ -69,17 +70,20 @@ bool checkDiff(const std::string &Src, const std::vector<FuzzConfig> &Matrix,
 /// fork one cached points-to prefix: the reference suffix sees the pristine
 /// analysis, the widened suffix degrades its own private fork.
 bool checkWiden(uint64_t Seed, const std::string &Src, InterpEngine Engine,
-                CompileCache *Cache, std::string &Why) {
+                ArtifactCache *Cache, std::string &Why) {
   auto Run = [&](const CompilerConfig &Cfg) {
-    if (!Cache)
-      return compileAndRun(Src, Cfg, fuzzInterpOptions(Engine, false));
-    CompileOutput Out = Cache->compile("program", Src, Cfg);
-    if (!Out.Ok) {
-      ExecResult R;
+    ArtifactCache::Outcome O;
+    CompileOutput Out =
+        Cache ? compileSuffix(
+                    Cache->get(Src, Cfg.Analysis, O)->analyzed(Cfg.Analysis),
+                    Cfg)
+              : compileProgram(Src, Cfg);
+    ExecResult R;
+    if (!Out.Ok)
       R.Error = Out.Errors;
-      return R;
-    }
-    return interpret(*Out.M, fuzzInterpOptions(Engine, true));
+    else
+      R = interpret(*Out.M, fuzzInterpOptions(Engine, Cache != nullptr));
+    return R;
   };
   CompilerConfig Base;
   Base.Analysis = AnalysisKind::PointsTo;
@@ -150,9 +154,9 @@ SeedOutcome checkSeed(uint64_t Seed, const CampaignOptions &Opts,
   double T0 = Opts.Trace ? timingNowMs() : 0;
   SeedOutcome Out;
   std::string Src = generateProgram(Seed);
-  std::unique_ptr<CompileCache> Cache;
-  if (Opts.UseCompileCache)
-    Cache = std::make_unique<CompileCache>();
+  std::unique_ptr<ArtifactCache> Cache;
+  if (Opts.UseCaches)
+    Cache = std::make_unique<ArtifactCache>(SIZE_MAX);
   std::string Why;
   bool Ok =
       (!Opts.DoDiff ||

@@ -49,12 +49,13 @@ struct CampaignOptions {
   /// Interpreter engine for every oracle execution. Campaigns pinned to
   /// each engine must produce identical verdict logs.
   InterpEngine Engine = DefaultInterpEngine;
-  /// Share the compiled pipeline prefix across one seed's oracle runs (the
-  /// diff matrix alone compiles each program dozens of times). Verdict logs
-  /// are byte-identical with the cache on or off; `--no-compile-cache`
-  /// turns it off for A/B runs. The corrupt oracle never uses the cache —
+  /// Share the compiled pipeline prefix (an ArtifactCache) across one
+  /// seed's oracle runs (the diff matrix alone compiles each program dozens
+  /// of times), and the jit's native code across runs. Verdict logs are
+  /// byte-identical with the caches on or off; `--no-compile-cache` turns
+  /// both off for A/B runs. The corrupt oracle never uses the cache —
   /// it must corrupt freshly lowered, un-normalized IL.
-  bool UseCompileCache = true;
+  bool UseCaches = true;
   /// Check every seed in a forked sandbox (driver/JobRunner): a crashing,
   /// hanging, or OOMing seed becomes a classified FAIL line and the
   /// campaign continues. Healthy seeds produce byte-identical logs either

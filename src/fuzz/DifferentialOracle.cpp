@@ -2,7 +2,7 @@
 
 #include "fuzz/DifferentialOracle.h"
 
-#include "driver/CompileCache.h"
+#include "driver/ArtifactCache.h"
 #include "obs/Remark.h"
 
 #include <sstream>
@@ -81,7 +81,7 @@ rpcc::promotionPairs(const std::vector<FuzzConfig> &Matrix) {
 OracleResult rpcc::checkProgram(const std::string &Source,
                                 const std::vector<FuzzConfig> &Matrix,
                                 const InterpOptions &IO,
-                                CompileCache *Cache) {
+                                ArtifactCache *Cache) {
   OracleResult R;
   R.Loads.assign(Matrix.size(), 0);
   bool HaveBase = false;
@@ -105,8 +105,12 @@ OracleResult rpcc::checkProgram(const std::string &Source,
     }
     ExecResult E;
     {
-      CompileOutput Out = Cache ? Cache->compile("program", Source, Cfg)
-                                : compileProgram(Source, Cfg);
+      ArtifactCache::Outcome O;
+      CompileOutput Out =
+          Cache ? compileSuffix(Cache->get(Source, Cfg.Analysis, O)
+                                    ->analyzed(Cfg.Analysis),
+                                Cfg)
+                : compileProgram(Source, Cfg);
       if (!Out.Ok) {
         E.Error = Out.Errors;
       } else {

@@ -26,7 +26,7 @@
 
 namespace rpcc {
 
-class CompileCache;
+class ArtifactCache;
 
 /// One cell of the differential matrix.
 struct FuzzConfig {
@@ -68,7 +68,7 @@ struct OracleResult {
 OracleResult checkProgram(const std::string &Source,
                           const std::vector<FuzzConfig> &Matrix,
                           const InterpOptions &IO = {},
-                          CompileCache *Cache = nullptr);
+                          ArtifactCache *Cache = nullptr);
 
 /// (without, with) index pairs of cells identical except scalar promotion.
 /// Per program the load delta can go either way (landing-pad loads, spill

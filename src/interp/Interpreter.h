@@ -108,7 +108,7 @@ struct InterpOptions {
   /// (jit engine only). The cache key covers everything the emitter bakes
   /// into code, so a hit is observationally identical to a fresh compile;
   /// `--no-compile-cache` clears this for A/B verification, exactly like
-  /// the frontend CompileCache it rides along with.
+  /// the prefix ArtifactCache it rides along with.
   bool JitCodeCache = true;
 };
 

@@ -4,6 +4,7 @@
 
 #include "support/Arith.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -118,6 +119,10 @@ public:
     ToErase.clear();
     for (size_t Idx = 0; Idx != B.size(); ++Idx)
       visit(B, Idx, ToErase);
+    // A dead store's index is pushed when the *later* store to its tag is
+    // seen, so stores to different tags arrive out of order. Erasing back
+    // to front only keeps the remaining indices valid once sorted.
+    std::sort(ToErase.begin(), ToErase.end());
     for (auto It = ToErase.rbegin(); It != ToErase.rend(); ++It)
       B.eraseAt(*It);
   }

@@ -47,10 +47,21 @@ struct ServedMetrics {
         "served.requests", {{"endpoint", Endpoint}}, MetricStability::Volatile,
         "ops", "Requests answered, by endpoint.");
   }
-  Counter HttpErrors;
+  Counter HttpErrors, CacheHits, CacheMisses, CacheBypass;
   Histogram RequestUs;
   ServedMetrics() {
     auto &R = MetricsRegistry::global();
+    // Request provenance, by the envelope's "cached" field: a request whose
+    // artifact was resident is a hit even when it built a second analysis
+    // (cache.* counts that as a miss).
+    CacheHits = R.counter("served.cache_hits", {}, MetricStability::Volatile,
+                          "ops", "Requests whose artifact was resident.");
+    CacheMisses = R.counter("served.cache_misses", {},
+                            MetricStability::Volatile, "ops",
+                            "Requests that built their artifact.");
+    CacheBypass = R.counter("served.cache_bypass", {},
+                            MetricStability::Volatile, "ops",
+                            "Content-hash collisions compiled privately.");
     HttpErrors = R.counter("served.http_errors", {}, MetricStability::Volatile,
                            "ops",
                            "Protocol-level rejections (4xx/5xx before any "
@@ -146,14 +157,25 @@ const char *analysisName(AnalysisKind K) {
   return K == AnalysisKind::PointsTo ? "points-to" : "modref";
 }
 
-const char *cachedName(const ArtifactCache::Outcome &O) {
-  if (O.Hit)
-    return "hit";
-  if (O.Coalesced)
-    return "coalesced";
-  if (O.Bypass)
-    return "bypass";
-  return "miss";
+/// Compiles \p R by forking the suffix from its cached prefix, counting the
+/// request's provenance; \p Key and \p Cached are set for the envelope.
+CompileOutput compileCached(ArtifactCache &Cache, const CompileRequest &R,
+                            std::string &Key, const char *&Cached) {
+  ArtifactCache::Outcome Out;
+  std::shared_ptr<PrefixArtifact> Art = Cache.get(R.Source, R.Analysis, Out);
+  ServedMetrics &SM = servedMetrics();
+  if (Out.Hit)
+    SM.CacheHits.inc();
+  else if (Out.Miss)
+    SM.CacheMisses.inc();
+  else if (Out.Bypass)
+    SM.CacheBypass.inc();
+  Cached = Out.Hit    ? "hit"
+           : Out.Miss ? "miss"
+           : Out.Bypass ? "bypass"
+                        : "coalesced";
+  Key = Art->Key;
+  return compileSuffix(Art->analyzed(R.Analysis), configFor(R));
 }
 
 //===----------------------------------------------------------------------===//
@@ -458,20 +480,10 @@ std::string Server::handleCompile(const HttpRequest &Req) {
     return httpJson(200, SR.Payload, Req.KeepAlive);
   }
 
-  ArtifactCache::Outcome Out;
-  std::shared_ptr<ServedArtifact> Art = Cache.get(R.Source, R.Analysis, Out);
-  size_t Idx = R.Analysis == AnalysisKind::PointsTo ? 1 : 0;
-
-  CompileOutput CO;
-  if (!Art->AM[Idx].Ok) {
-    CO.Ok = false;
-    CO.Errors = Art->AM[Idx].Errors;
-  } else {
-    CO = compileSuffix(Art->AM[Idx], configFor(R));
-  }
-  return httpJson(200,
-                  compileBody(R, CO, Art->Key, cachedName(Out),
-                              timingNowMs() - T0),
+  std::string Key;
+  const char *Cached = nullptr;
+  CompileOutput CO = compileCached(Cache, R, Key, Cached);
+  return httpJson(200, compileBody(R, CO, Key, Cached, timingNowMs() - T0),
                   Req.KeepAlive);
 }
 
@@ -527,21 +539,10 @@ std::string Server::handleRun(const HttpRequest &Req) {
   std::string Key = ArtifactCache::contentKey(R.Source);
   const char *Cached = "fork";
   CompileOutput CO;
-  if (Opts.ForkPerRequest) {
+  if (Opts.ForkPerRequest)
     CO = compileProgram(R.Source, configFor(R));
-  } else {
-    ArtifactCache::Outcome Out;
-    std::shared_ptr<ServedArtifact> Art = Cache.get(R.Source, R.Analysis, Out);
-    size_t Idx = R.Analysis == AnalysisKind::PointsTo ? 1 : 0;
-    Key = Art->Key;
-    Cached = cachedName(Out);
-    if (!Art->AM[Idx].Ok) {
-      CO.Ok = false;
-      CO.Errors = Art->AM[Idx].Errors;
-    } else {
-      CO = compileSuffix(Art->AM[Idx], configFor(R));
-    }
-  }
+  else
+    CO = compileCached(Cache, R, Key, Cached);
   if (!CO.Ok) {
     std::string B = "{\"status\":\"error\",\"key\":\"" + Key +
                     "\",\"cached\":\"" + Cached + "\",\"error\":\"" +
@@ -731,15 +732,13 @@ std::string Server::handleRemarks(const HttpRequest &Req) {
   else if (!AnalysisStr.empty() && AnalysisStr != "modref")
     return httpJson(400, jsonError("analysis must be modref or points-to"),
                     Req.KeepAlive);
-  size_t Idx = Kind == AnalysisKind::PointsTo ? 1 : 0;
-
-  std::shared_ptr<ServedArtifact> Art = Cache.peek(Key);
+  std::shared_ptr<PrefixArtifact> Art = Cache.peek(Key);
   if (!Art)
     return httpJson(404, jsonError("no cached artifact for key " + Key),
                     Req.KeepAlive);
   // peek() does not build analyses; only report on what a /compile already
   // materialized.
-  if (!Art->AM[Idx].Ok)
+  if (!Art->analyzed(Kind).Ok)
     return httpJson(404,
                     jsonError("artifact has no successful " +
                               std::string(analysisName(Kind)) + " analysis"),
@@ -750,7 +749,7 @@ std::string Server::handleRemarks(const HttpRequest &Req) {
   Cfg.ScalarPromotion = Req.queryParam("promote") != "0";
   RemarkEngine RE;
   Cfg.Remarks = &RE;
-  CompileOutput CO = compileSuffix(Art->AM[Idx], Cfg);
+  CompileOutput CO = compileSuffix(Art->analyzed(Kind), Cfg);
   if (!CO.Ok)
     return httpJson(200, jsonError(CO.Errors), Req.KeepAlive);
   return httpResponse(200, "application/x-ndjson",

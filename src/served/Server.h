@@ -44,7 +44,7 @@
 #ifndef RPCC_SERVED_SERVER_H
 #define RPCC_SERVED_SERVER_H
 
-#include "served/ArtifactCache.h"
+#include "driver/ArtifactCache.h"
 #include "served/Http.h"
 #include "support/Sandbox.h"
 #include "support/Status.h"

@@ -9,7 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/CompileCache.h"
+#include "driver/ArtifactCache.h"
 #include "driver/Compiler.h"
 #include "frontend/Lowering.h"
 #include "ir/IRPrinter.h"
@@ -122,10 +122,12 @@ TEST(CloneTest, SuffixFromCloneMatchesMonolithicPipeline) {
 TEST(CloneTest, CacheForksAreIndependent) {
   // Two compiles of the same program through one cache must not alias: the
   // second result is unaffected by mutating the first.
-  CompileCache Cache;
+  ArtifactCache Cache(SIZE_MAX);
+  ArtifactCache::Outcome O;
   CompilerConfig Cfg;
   Cfg.Analysis = AnalysisKind::ModRef;
-  CompileOutput A = Cache.compile("prog", kProgram, Cfg);
+  CompileOutput A = compileSuffix(
+      Cache.get(kProgram, Cfg.Analysis, O)->analyzed(Cfg.Analysis), Cfg);
   ASSERT_TRUE(A.Ok) << A.Errors;
   std::string Ref = printModule(*A.M);
 
@@ -133,7 +135,8 @@ TEST(CloneTest, CacheForksAreIndependent) {
   ASSERT_NE(F, nullptr);
   F->entry()->insts().front()->Op = Opcode::Ret;
 
-  CompileOutput B = Cache.compile("prog", kProgram, Cfg);
+  CompileOutput B = compileSuffix(
+      Cache.get(kProgram, Cfg.Analysis, O)->analyzed(Cfg.Analysis), Cfg);
   ASSERT_TRUE(B.Ok) << B.Errors;
   EXPECT_EQ(printModule(*B.M), Ref);
   EXPECT_EQ(Cache.hits(), 1u);

@@ -97,6 +97,20 @@ TEST(DifferentialTest, RemarkStreamStableAcrossBackendKnobs) {
   }
 }
 
+TEST(DifferentialTest, DeadStoreEraseOrderSeedsAgree) {
+  // Default-campaign seeds whose programs store twice to two globals in one
+  // block: value numbering erased the wrong instruction when the dead
+  // stores were found out of index order, and every opts cell diverged.
+  std::vector<FuzzConfig> Matrix = fullMatrix();
+  for (uint64_t Seed : {253688632ull, 253688650ull, 253688793ull,
+                        347714387384ull}) {
+    OracleResult R =
+        checkProgram(generateProgram(Seed), Matrix, testInterpOptions());
+    EXPECT_TRUE(R.Ok) << "seed " << Seed << " diverged in "
+                      << R.FailingConfig << ": " << R.Message;
+  }
+}
+
 TEST(DifferentialTest, DetectsIntroducedDivergence) {
   // A config whose behavior genuinely differs must be flagged: drive the
   // matrix against a program, then corrupt the baseline comparison by

@@ -2,6 +2,7 @@
 
 #include "alias/ModRef.h"
 #include "analysis/CfgNormalize.h"
+#include "driver/Compiler.h"
 #include "frontend/Lowering.h"
 #include "interp/Interpreter.h"
 #include "ir/IRPrinter.h"
@@ -103,6 +104,26 @@ TEST(VnTest, CallBlocksStoreElimination) {
   EXPECT_EQ(S.DeadStores, 0u);
   ExecResult R = interpret(*M);
   EXPECT_EQ(R.ExitCode, 21);
+}
+
+TEST(VnTest, DeadStoresToTwoTagsFoundOutOfOrder) {
+  // g3's dead store is found (at `g3 = v ^ 25`) before g1's (at `g1 = 42`),
+  // though g1's comes first in the block. Erasing that unsorted list back
+  // to front removed g1's store first, shifting g3's index by one: the
+  // LOADI feeding the XOR went instead of `g3 = 2`, and the program
+  // printed 52.
+  const char *Src = "int g1; int g3;\n"
+                    "int f(int v) { g1 = v; g3 = 2; g3 = v ^ 25; g1 = 42;\n"
+                    "  return g1 + g3; }\n"
+                    "int main() { print_int(f(10)); return 0; }";
+  CompilerConfig NoOpts;
+  NoOpts.EnableOpts = false;
+  ExecResult Ref = compileAndRun(Src, NoOpts);
+  ASSERT_TRUE(Ref.Ok) << Ref.Error;
+  EXPECT_EQ(Ref.Output, "61");
+  ExecResult Opt = compileAndRun(Src);
+  ASSERT_TRUE(Opt.Ok) << Opt.Error;
+  EXPECT_EQ(Opt.Output, Ref.Output);
 }
 
 TEST(PreTest, EliminatesAcrossBlocks) {

@@ -16,7 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "served/ArtifactCache.h"
+#include "driver/ArtifactCache.h"
 #include "served/Http.h"
 #include "served/HttpClient.h"
 #include "served/Server.h"
@@ -241,7 +241,7 @@ TEST(ArtifactCacheTest, ConcurrentGetsCoalesceToOneBuild) {
   ArtifactCache Cache(64u << 20);
   constexpr unsigned N = 8;
   std::vector<std::thread> Threads;
-  std::vector<std::shared_ptr<ServedArtifact>> Arts(N);
+  std::vector<std::shared_ptr<PrefixArtifact>> Arts(N);
   std::atomic<unsigned> Misses{0}, Coalesced{0}, Hits{0};
   for (unsigned I = 0; I != N; ++I)
     Threads.emplace_back([&, I] {

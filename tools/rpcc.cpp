@@ -237,12 +237,12 @@ struct SandboxCliOptions {
 int runSuiteMode(unsigned Jobs, const TimingOptions &Timing,
                  const std::vector<std::string> &Programs,
                  const ObsOptions &Obs, InterpEngine Engine,
-                 bool UseCompileCache, const SandboxCliOptions &SB) {
+                 bool UseCaches, const SandboxCliOptions &SB) {
   double MetricsT0 = timingNowMs();
   Heartbeat HB(Obs.HeartbeatSecs, "rpcc");
   SuiteOptions Opts;
   Opts.Jobs = Jobs;
-  Opts.UseCompileCache = UseCompileCache;
+  Opts.UseCaches = UseCaches;
   Opts.Interp.Engine = Engine;
   Opts.CollectTiming = Timing.collect();
   Opts.Remarks = Obs.wantRemarks();
@@ -412,7 +412,7 @@ int main(int argc, char **argv) {
   bool Run = false, Counts = false, Stats = false, DumpIL = false;
   bool PerFunction = false;
   bool Suite = false;
-  bool UseCompileCache = true;
+  bool UseCaches = true;
   TimingOptions Timing;
   ObsOptions Obs;
   SandboxCliOptions SB;
@@ -514,7 +514,7 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(A, "--suite") == 0) {
       Suite = true;
     } else if (std::strcmp(A, "--no-compile-cache") == 0) {
-      UseCompileCache = false;
+      UseCaches = false;
     } else if (std::strcmp(A, "--sandbox") == 0) {
       SB.Enabled = true;
     } else if (std::strncmp(A, "--sandbox-wall=", 15) == 0) {
@@ -624,7 +624,7 @@ int main(int argc, char **argv) {
       return 2;
     }
     return runSuiteMode(Jobs, Timing, Programs, Obs, Engine,
-                        UseCompileCache, SB);
+                        UseCaches, SB);
   }
   if (!ProgramsList.empty()) {
     std::fprintf(stderr, "error: --programs only applies to --suite\n");
@@ -754,7 +754,7 @@ int main(int argc, char **argv) {
     ProfileMeta Meta;
     InterpOptions IOpts;
     IOpts.Engine = Engine;
-    IOpts.JitCodeCache = UseCompileCache;
+    IOpts.JitCodeCache = UseCaches;
     if (Obs.wantProfile()) {
       Meta = ProfileMeta::build(*Out.M);
       IOpts.Profile = &Meta;

@@ -128,9 +128,13 @@ int emitSeed(uint64_t Seed) {
 FailurePredicate makePredicate(const std::string &Spec, InterpEngine Engine) {
   InterpOptions IO = fuzzInterpOptions(Engine);
   if (Spec == "diverge") {
+    // Only a source whose reference cell (the oracle's baseline, cell 0)
+    // compiles and runs cleanly can diverge from it; counting a broken
+    // reference would let ddmin collapse the program, as for "error".
     std::vector<FuzzConfig> Matrix = quickMatrix();
     return [Matrix, IO](const std::string &Src) {
-      return !checkProgram(Src, Matrix, IO).Ok;
+      OracleResult R = checkProgram(Src, Matrix, IO);
+      return !R.Ok && R.FailingConfig != Matrix.front().name();
     };
   }
   if (Spec == "error") {
@@ -241,7 +245,7 @@ int main(int argc, char **argv) {
         return 3;
       }
     } else if (std::strcmp(A, "--no-compile-cache") == 0) {
-      Campaign.UseCompileCache = false;
+      Campaign.UseCaches = false;
     } else if (std::strcmp(A, "--sandbox") == 0) {
       Campaign.Sandbox = true;
     } else if (std::strncmp(A, "--sandbox-wall=", 15) == 0) {
