@@ -329,6 +329,7 @@ CampaignResult rpcc::runCampaign(const CampaignOptions &Opts,
   std::vector<FuzzConfig> Matrix = Opts.Quick ? quickMatrix() : fullMatrix();
   CampaignResult R;
   std::vector<uint64_t> LoadTotals(Matrix.size(), 0);
+  uint64_t CorpusPrograms = 0;
   uint64_t Printed = 0;
 
   // Seeds are checked in blocks (parallel, any order) and reported in seed
@@ -348,9 +349,11 @@ CampaignResult rpcc::runCampaign(const CampaignOptions &Opts,
       uint64_t Seed = Opts.Seed0 + K;
       SeedOutcome &Out = Block[I];
       SeedsDone.inc();
-      if (Out.DiffOk)
+      if (Out.DiffOk) {
+        ++CorpusPrograms;
         for (size_t Cell = 0; Cell != Out.Loads.size(); ++Cell)
           LoadTotals[Cell] += Out.Loads[Cell];
+      }
       if (!Out.Ok) {
         fuzzFailCounter(Out.Why).inc();
         ++R.Failures;
@@ -377,20 +380,10 @@ CampaignResult rpcc::runCampaign(const CampaignOptions &Opts,
     }
   }
 
-  // Corpus-level count sanity: a single program may legally load more with
-  // promotion (landing pads, spills), but across the whole corpus promotion
-  // must not add loads under otherwise-identical configuration.
   if (Opts.DoDiff && R.Failures == 0) {
-    for (auto [Without, With] : promotionPairs(Matrix)) {
-      if (LoadTotals[With] > LoadTotals[Without]) {
-        ++R.Failures;
-        std::ostringstream OS;
-        OS << "FAIL corpus load counts: " << Matrix[With].name() << " ran "
-           << LoadTotals[With] << " loads vs " << LoadTotals[Without]
-           << " under " << Matrix[Without].name() << "\n";
-        emit(R, Live, OS.str());
-      }
-    }
+    CorpusLoadVerdict V = checkCorpusLoads(Matrix, LoadTotals, CorpusPrograms);
+    R.CorpusFailures = V.Failures;
+    emit(R, Live, V.Log);
   }
   std::ostringstream OS;
   if (R.Failures) {
@@ -401,9 +394,35 @@ CampaignResult rpcc::runCampaign(const CampaignOptions &Opts,
       OS << " (" << R.Crashed << " crashed, " << R.OomKilled << " oom, "
          << R.TimedOut << " timed out)";
     OS << "\n";
+  } else if (R.CorpusFailures) {
+    OS << "rpfuzz: " << Opts.Runs << " seeds passed; corpus load check "
+       << "failed at " << R.CorpusFailures << " promotion pair(s)\n";
   } else {
     OS << "rpfuzz: " << Opts.Runs << " seeds clean\n";
   }
   emit(R, Live, OS.str());
   return R;
+}
+
+CorpusLoadVerdict rpcc::checkCorpusLoads(
+    const std::vector<FuzzConfig> &Matrix,
+    const std::vector<uint64_t> &LoadTotals, uint64_t Programs) {
+  CorpusLoadVerdict V;
+  std::ostringstream OS;
+  if (Programs < MinLoadCheckCorpus) {
+    OS << "rpfuzz: corpus load check skipped (" << Programs
+       << " program(s), needs " << MinLoadCheckCorpus << ")\n";
+    V.Log = OS.str();
+    return V;
+  }
+  for (auto [Without, With] : promotionPairs(Matrix)) {
+    if (LoadTotals[With] > LoadTotals[Without]) {
+      ++V.Failures;
+      OS << "FAIL corpus load counts: " << Matrix[With].name() << " ran "
+         << LoadTotals[With] << " loads vs " << LoadTotals[Without]
+         << " under " << Matrix[Without].name() << "\n";
+    }
+  }
+  V.Log = OS.str();
+  return V;
 }

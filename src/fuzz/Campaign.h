@@ -19,11 +19,13 @@
 #define RPCC_FUZZ_CAMPAIGN_H
 
 #include "driver/JobRunner.h"
+#include "fuzz/DifferentialOracle.h"
 #include "interp/Interpreter.h"
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 namespace rpcc {
 
@@ -48,7 +50,8 @@ struct CampaignOptions {
   TraceCollector *Trace = nullptr;
   /// Interpreter engine for every oracle execution. Campaigns pinned to
   /// each engine must produce identical verdict logs.
-  InterpEngine Engine = DefaultInterpEngine;
+  // Not jit: compile-bound (300 seeds: jit 14.5-16.2 s, fastpath 13.3-15.2).
+  InterpEngine Engine = DefaultInterpretedEngine;
   /// Share the compiled pipeline prefix (an ArtifactCache) across one
   /// seed's oracle runs (the diff matrix alone compiles each program dozens
   /// of times), and the jit's native code across runs. Verdict logs are
@@ -77,11 +80,15 @@ struct CampaignOptions {
 };
 
 struct CampaignResult {
+  /// Failing seeds.
   uint64_t Failures = 0;
   /// Abnormal-child breakdown (each also counts in Failures). Nonzero only
   /// with CampaignOptions::Sandbox; drives the process exit severity
   /// (jobExitSeverity: crash > oom > timeout).
   uint64_t Crashed = 0, TimedOut = 0, OomKilled = 0;
+  /// Promotion pairs failing the corpus-level load check. A corpus
+  /// property, not a verdict on any one seed, so not part of Failures.
+  uint64_t CorpusFailures = 0;
   /// The full verdict log: FAIL lines, failing programs, progress lines,
   /// the corpus-level promotion check, and the summary line. Byte-identical
   /// for equal options regardless of CampaignOptions::Jobs.
@@ -92,6 +99,27 @@ struct CampaignResult {
 /// there (block by block, in seed order) as the campaign progresses.
 CampaignResult runCampaign(const CampaignOptions &Opts,
                            std::FILE *Live = nullptr);
+
+/// Fewest programs the corpus-level load check judges. One program may
+/// legitimately load more with promotion (landing pads, spills); only a sum
+/// over many programs says anything about promotion itself. Equal to the
+/// default campaign size, so a default `rpfuzz` run still checks.
+inline constexpr uint64_t MinLoadCheckCorpus = 100;
+
+struct CorpusLoadVerdict {
+  /// promotionPairs() pairs whose with-promotion cell ran more loads.
+  uint64_t Failures = 0;
+  /// One "FAIL corpus load counts" line per failing pair, or a one-line
+  /// note when the corpus is too small to judge.
+  std::string Log;
+};
+
+/// The corpus-level promotion check: summed over the corpus, promotion must
+/// not add loads (see promotionPairs). \p LoadTotals holds each matrix
+/// cell's dynamic loads summed over \p Programs programs.
+CorpusLoadVerdict checkCorpusLoads(const std::vector<FuzzConfig> &Matrix,
+                                   const std::vector<uint64_t> &LoadTotals,
+                                   uint64_t Programs);
 
 } // namespace rpcc
 

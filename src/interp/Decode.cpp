@@ -266,173 +266,11 @@ DecodedInst decodeInst(const Module &M, const GlobalLayout &GL,
   return DI;
 }
 
-/// Fused DecodedOp for an integer compare whose result feeds the adjacent
-/// Br; kNumDecodedOps when \p D is not a fusible compare.
-DecodedOp cmpBrOp(DecodedOp D) {
-  switch (D) {
-  case DecodedOp::CmpEq: return DecodedOp::CmpEqBr;
-  case DecodedOp::CmpNe: return DecodedOp::CmpNeBr;
-  case DecodedOp::CmpLt: return DecodedOp::CmpLtBr;
-  case DecodedOp::CmpLe: return DecodedOp::CmpLeBr;
-  case DecodedOp::CmpGt: return DecodedOp::CmpGtBr;
-  case DecodedOp::CmpGe: return DecodedOp::CmpGeBr;
-  case DecodedOp::FCmpEq: return DecodedOp::FCmpEqBr;
-  case DecodedOp::FCmpNe: return DecodedOp::FCmpNeBr;
-  case DecodedOp::FCmpLt: return DecodedOp::FCmpLtBr;
-  case DecodedOp::FCmpLe: return DecodedOp::FCmpLeBr;
-  case DecodedOp::FCmpGt: return DecodedOp::FCmpGtBr;
-  case DecodedOp::FCmpGe: return DecodedOp::FCmpGeBr;
-  default: return DecodedOp::kNumDecodedOps;
-  }
-}
-
-/// Fused DecodedOp for an op consuming the adjacent LoadI; kNumDecodedOps
-/// when \p D is not one of the high-frequency consumers worth a handler.
-DecodedOp loadIOp(DecodedOp D) {
-  switch (D) {
-  case DecodedOp::Add: return DecodedOp::LoadIAdd;
-  case DecodedOp::Mul: return DecodedOp::LoadIMul;
-  case DecodedOp::Sub: return DecodedOp::LoadISub;
-  case DecodedOp::CmpEq: return DecodedOp::LoadICmpEq;
-  case DecodedOp::CmpNe: return DecodedOp::LoadICmpNe;
-  case DecodedOp::CmpLt: return DecodedOp::LoadICmpLt;
-  default: return DecodedOp::kNumDecodedOps;
-  }
-}
-
-/// Greedy left-to-right superinstruction pass. A pair fuses only when the
-/// second instruction is not a block start (branches only ever target block
-/// starts, so control can never enter the middle of a fused pair). The
-/// second slot stays in the stream, dead, keeping branch targets stable.
-/// Pairs involving a memory operation only fuse when decoding without a
-/// profile sink; all other pairs fuse identically either way.
-void fuseSuperinstructions(DecodedFunction &DF,
-                           const std::vector<uint32_t> &BlockStart,
-                           bool Profiling) {
-  std::vector<bool> IsStart(DF.Insts.size(), false);
-  for (uint32_t S : BlockStart)
-    if (S < DF.Insts.size())
-      IsStart[S] = true;
-  for (size_t K = 0; K + 1 < DF.Insts.size(); ++K) {
-    if (IsStart[K + 1])
-      continue;
-    DecodedInst &I0 = DF.Insts[K];
-    const DecodedInst &I1 = DF.Insts[K + 1];
-    // Cmp reg, a, b; Br reg -> branch directly on the compare.
-    if (I1.D == DecodedOp::Br && I1.A == I0.Result && I0.Result != NoReg) {
-      DecodedOp F = cmpBrOp(I0.D);
-      if (F != DecodedOp::kNumDecodedOps) {
-        I0.D = F; // Op stays the compare; the handler counts the Br
-        I0.T0 = I1.T0;
-        I0.T1 = I1.T1;
-        ++K;
-        continue;
-      }
-    }
-    // LoadI reg, imm; op .., reg, .. -> fold the constant load in. The
-    // handler still writes the constant's register first, so reuse of the
-    // constant later (or as both operands) behaves exactly as unfused.
-    if (I0.D == DecodedOp::LoadI) {
-      DecodedOp F = loadIOp(I1.D);
-      if (F != DecodedOp::kNumDecodedOps &&
-          (I1.A == I0.Result || I1.B == I0.Result)) {
-        DecodedInst NI = I1;
-        NI.D = F;
-        NI.Op = Opcode::LoadI; // prologue counts the LoadI first
-        NI.T0 = I0.Result;
-        NI.Imm = I0.Imm;
-        I0 = NI;
-        ++K;
-        continue;
-      }
-    }
-    // LoadI/Copy reg, ..; Jmp -> the block-closing constant or phi move SSA
-    // destruction leaves before an unconditional jump.
-    if ((I0.D == DecodedOp::LoadI || I0.D == DecodedOp::Copy) &&
-        I1.D == DecodedOp::Jmp) {
-      I0.D = I0.D == DecodedOp::LoadI ? DecodedOp::LoadIJmp : DecodedOp::CopyJmp;
-      I0.T0 = I1.T0; // Op stays; the handler counts the Jmp
-      ++K;
-      continue;
-    }
-    // Add/Mul rX, a, b; Add rD, rY, rX -> the address-arithmetic chain of
-    // array indexing (scale, then displace).
-    if ((I0.D == DecodedOp::Add || I0.D == DecodedOp::Mul) &&
-        I1.D == DecodedOp::Add && I0.Result != NoReg &&
-        (I1.A == I0.Result || I1.B == I0.Result)) {
-      const Reg Other = I1.A == I0.Result ? I1.B : I1.A;
-      const DecodedOp F =
-          I0.D == DecodedOp::Add ? DecodedOp::AddAdd : DecodedOp::MulAdd;
-      DecodedInst NI = I0; // first op's operands and opcode stay
-      NI.D = F;
-      NI.T0 = I0.Result;
-      NI.T1 = Other;
-      NI.Result = I1.Result;
-      I0 = NI;
-      ++K;
-      continue;
-    }
-    // Add rX, a, b; Load rD, [rX] -> compute the address and load in one
-    // handler. Skipped when profiling: the load's per-step attribution
-    // needs the standard prologue.
-    if (!Profiling && I0.D == DecodedOp::Add && I1.D == DecodedOp::PtrLoad &&
-        I1.A == I0.Result && I0.Result != NoReg) {
-      DecodedInst NI;
-      NI.D = I1.Op == Opcode::ConstLoad ? DecodedOp::AddConstLoad
-                                        : DecodedOp::AddLoad;
-      NI.Op = Opcode::Add; // prologue counts the Add first
-      NI.MemTy = I1.MemTy;
-      NI.Result = I1.Result;
-      NI.A = I0.A;
-      NI.B = I0.B;
-      NI.T0 = I0.Result;
-      I0 = NI;
-      ++K;
-      continue;
-    }
-    // Add rX, a, b; Store [rX], v -> compute the address and store in one
-    // handler; the value register rides in Result (stores have none). Same
-    // profiling gate as the load form.
-    if (!Profiling && I0.D == DecodedOp::Add && I1.D == DecodedOp::PtrStore &&
-        I1.A == I0.Result && I0.Result != NoReg) {
-      DecodedInst NI;
-      NI.D = DecodedOp::AddStore;
-      NI.Op = Opcode::Add; // prologue counts the Add first
-      NI.MemTy = I1.MemTy;
-      NI.Result = I1.B; // the stored value
-      NI.A = I0.A;
-      NI.B = I0.B;
-      NI.T0 = I0.Result;
-      I0 = NI;
-      ++K;
-      continue;
-    }
-    // FMul rX, a, b; FAdd/FSub rD, .., .. -> the multiply-accumulate core
-    // of the float kernels. The variant records which operand the product
-    // was, preserving the exact host evaluation order.
-    if (I0.D == DecodedOp::FMul && I0.Result != NoReg &&
-        (I1.D == DecodedOp::FAdd || I1.D == DecodedOp::FSub) &&
-        (I1.A == I0.Result || I1.B == I0.Result)) {
-      const bool ProdFirst = I1.A == I0.Result;
-      DecodedInst NI = I0; // multiply operands and opcode stay
-      NI.D = I1.D == DecodedOp::FAdd
-                 ? (ProdFirst ? DecodedOp::FMulFAddA : DecodedOp::FMulFAddB)
-                 : (ProdFirst ? DecodedOp::FMulFSubA : DecodedOp::FMulFSubB);
-      NI.T0 = I0.Result;
-      NI.T1 = ProdFirst ? I1.B : I1.A;
-      NI.Result = I1.Result;
-      I0 = NI;
-      ++K;
-      continue;
-    }
-  }
-}
-
 } // namespace
 
 DecodedModule rpcc::decodeModule(const Module &M, const GlobalLayout &GL,
                                  const std::vector<FrameLayout> &Layouts,
-                                 const DenseProfileSink *Sink, bool Fuse) {
+                                 const DenseProfileSink *Sink) {
   DecodedModule DM;
   DM.Funcs.resize(M.numFunctions());
   for (FuncId FI = 0; FI != M.numFunctions(); ++FI) {
@@ -466,8 +304,6 @@ DecodedModule rpcc::decodeModule(const Module &M, const GlobalLayout &GL,
         if (Sink)
           DF.ProfSlots.push_back(ProfSlot);
       }
-    if (Fuse)
-      fuseSuperinstructions(DF, BlockStart, Sink != nullptr);
     DF.BlockStarts = std::move(BlockStart);
   }
   return DM;

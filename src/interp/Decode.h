@@ -98,27 +98,10 @@ enum class DecodedOp : uint8_t {
   Call, CallIndirect,
   Br, Jmp, RetVal, RetVoid,
   Fault, ///< raises a pre-formatted message (decode-time diagnosed IL)
-  // Superinstructions: adjacent pairs fused at decode time when the second
-  // instruction is not a branch target. Both original operations execute
-  // and count exactly as if unfused; neither touches memory, so the fusion
-  // is invisible to the profiler. The dead second slot stays in the stream
-  // to keep branch-target indices stable.
-  CmpEqBr, CmpNeBr, CmpLtBr, CmpLeBr, CmpGtBr, CmpGeBr,
-  FCmpEqBr, FCmpNeBr, FCmpLtBr, FCmpLeBr, FCmpGtBr, FCmpGeBr,
-  LoadIAdd, LoadIMul, LoadISub, LoadICmpEq, LoadICmpNe, LoadICmpLt,
-  AddAdd, MulAdd, ///< address arithmetic chains; T1 = the outer Add's other operand
-  /// Add computing an address consumed by the adjacent pointer load. Only
-  /// fused when decoding without a profile sink (the load needs per-step
-  /// attribution otherwise).
-  AddLoad, AddConstLoad,
-  AddStore, ///< Add feeding the adjacent pointer store's address; same gate
-  /// FMul feeding the adjacent FAdd/FSub. The A/B suffix records which
-  /// operand of the outer op the product was (FP NaN payloads make even
-  /// FAdd order-sensitive, and FSub is not commutative at all).
-  FMulFAddA, FMulFAddB, FMulFSubA, FMulFSubB,
-  LoadIJmp, CopyJmp, ///< block-closing constant/phi move folded into the Jmp
-  kNumDecodedOps
 };
+
+inline constexpr size_t NumDecodedOps =
+    static_cast<size_t>(DecodedOp::Fault) + 1;
 
 /// DecodedInst::Flags bits: the counting facts the step-loop prologue needs,
 /// precomputed from the original opcode.
@@ -134,27 +117,24 @@ enum : uint8_t {
 /// slot of memory operations lives in DecodedFunction::ProfSlots.
 struct DecodedInst {
   DecodedOp D = DecodedOp::Fault;
-  /// Original opcode of the step the prologue counts first, kept so
-  /// OpCounters::ByOpcode matches the switch engine exactly (several
-  /// opcodes share one DecodedOp and vice versa; fused pairs count their
-  /// second opcode from the handler).
+  /// Original opcode, kept so OpCounters::ByOpcode matches the switch
+  /// engine exactly (Load and ConstLoad share PtrLoad, and the address-mode
+  /// variants share one opcode).
   Opcode Op = Opcode::kNumOpcodes;
   MemType MemTy = MemType::I64;
   uint8_t Flags = 0;
   Reg Result = NoReg;
   Reg A = NoReg; ///< first operand; arg count for Call; callee reg for IJSR
   Reg B = NoReg; ///< second operand
-  /// LoadI immediate (also for LoadI* fusions); LoadF bit pattern; baked
-  /// absolute address (*Abs) or frame offset (*Frame), LoadAddr
-  /// displacement already folded in; index into DecodedFunction::FaultMsgs
-  /// for Fault.
+  /// LoadI immediate; LoadF bit pattern; baked absolute address (*Abs) or
+  /// frame offset (*Frame), LoadAddr displacement already folded in; index
+  /// into DecodedFunction::FaultMsgs for Fault.
   int64_t Imm = 0;
-  /// Br taken / Jmp target instruction index (Cmp*Br too); Callee FuncId
-  /// for Call; argument pool base for CallIndirect; destination register of
-  /// the folded constant for LoadI* fusions.
+  /// Br taken / Jmp target instruction index; Callee FuncId for Call;
+  /// argument pool base for CallIndirect.
   uint32_t T0 = 0;
-  /// Br fallthrough instruction index (Cmp*Br too); argument pool base for
-  /// Call; argument count for CallIndirect.
+  /// Br fallthrough instruction index; argument pool base for Call;
+  /// argument count for CallIndirect.
   uint32_t T1 = 0;
 };
 
@@ -178,9 +158,7 @@ struct DecodedFunction {
   /// Instruction index of every block's first instruction, in block-id
   /// order (ascending). Exposes the block structure to the JIT tier: block
   /// boundaries are its register-residency and deferred-counter flush
-  /// points, and branch targets are exactly this set. Populated for fused
-  /// and unfused streams alike (indices are identical by construction —
-  /// fusion never moves or removes a slot).
+  /// points, and branch targets are exactly this set.
   std::vector<uint32_t> BlockStarts;
   uint32_t NumRegs = 0;
   uint32_t FrameSize = 0;
@@ -195,13 +173,12 @@ struct DecodedModule {
 
 /// Lowers every function of \p M against the given layouts. \p Sink, when
 /// non-null, must be initialized from the same module's ProfileMeta; memory
-/// operations then carry pre-packed profile slots. \p Fuse controls the
-/// superinstruction pass: the fast path wants it, the JIT decodes unfused so
-/// its per-op templates (and the fast-path fallback frames) see only base
-/// ops — counting is identical either way by construction.
+/// operations then carry pre-packed profile slots. The fast path and the
+/// JIT share the one stream; the JIT fuses adjacent pairs itself at emit
+/// time (jit/JitEmitter.cpp).
 DecodedModule decodeModule(const Module &M, const GlobalLayout &GL,
                            const std::vector<FrameLayout> &Layouts,
-                           const DenseProfileSink *Sink, bool Fuse = true);
+                           const DenseProfileSink *Sink);
 
 } // namespace rpcc
 

@@ -230,33 +230,6 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
     ++FCStoresLoc;                                                             \
   } while (0)
 
-// Counting prologue of the second operation of a fused pair. Fused second
-// ops are never profiled (mem-consuming fusions are disabled when a sink is
-// attached); the opcode is implied by the handler.
-#define RPCC_COUNT_STEP(OPC)                                                   \
-  do {                                                                         \
-    if (++TotalLoc > MaxSteps) {                                               \
-      Err.raise("step limit exceeded (infinite loop?)");                       \
-      goto fast_done;                                                          \
-    }                                                                          \
-    if ((TotalLoc & 0xFFFF) == 0 && checkWallDeadline())                       \
-      goto fast_done;                                                          \
-    ++Counters.ByOpcode[static_cast<size_t>(OPC)];                             \
-    ++FCTotalLoc;                                                              \
-  } while (0)
-
-// Same, for a fused second op that is a pointer load or store.
-#define RPCC_COUNT_STEP_LOAD(OPC)                                              \
-  do {                                                                         \
-    RPCC_COUNT_STEP(OPC);                                                      \
-    RPCC_TALLY_LOAD();                                                         \
-  } while (0)
-#define RPCC_COUNT_STEP_STORE(OPC)                                             \
-  do {                                                                         \
-    RPCC_COUNT_STEP(OPC);                                                      \
-    RPCC_TALLY_STORE();                                                        \
-  } while (0)
-
 #if RPCC_INTERP_THREADED
 #define RPCC_DISPATCH()                                                        \
   do {                                                                         \
@@ -268,11 +241,6 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
 #define RPCC_NEXT()                                                            \
   do {                                                                         \
     ++PC;                                                                      \
-    RPCC_DISPATCH();                                                           \
-  } while (0)
-#define RPCC_NEXT2()                                                           \
-  do {                                                                         \
-    PC += 2;                                                                   \
     RPCC_DISPATCH();                                                           \
   } while (0)
 #define RPCC_JUMP() RPCC_DISPATCH()
@@ -295,21 +263,8 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
       &&Lbl_Call,      &&Lbl_CallIndirect, &&Lbl_Br,
       &&Lbl_Jmp,       &&Lbl_RetVal,    &&Lbl_RetVoid,
       &&Lbl_Fault,
-      &&Lbl_CmpEqBr,   &&Lbl_CmpNeBr,   &&Lbl_CmpLtBr,
-      &&Lbl_CmpLeBr,   &&Lbl_CmpGtBr,   &&Lbl_CmpGeBr,
-      &&Lbl_FCmpEqBr,  &&Lbl_FCmpNeBr,  &&Lbl_FCmpLtBr,
-      &&Lbl_FCmpLeBr,  &&Lbl_FCmpGtBr,  &&Lbl_FCmpGeBr,
-      &&Lbl_LoadIAdd,  &&Lbl_LoadIMul,  &&Lbl_LoadISub,
-      &&Lbl_LoadICmpEq, &&Lbl_LoadICmpNe, &&Lbl_LoadICmpLt,
-      &&Lbl_AddAdd,    &&Lbl_MulAdd,
-      &&Lbl_AddLoad,   &&Lbl_AddConstLoad,
-      &&Lbl_AddStore,
-      &&Lbl_FMulFAddA, &&Lbl_FMulFAddB,
-      &&Lbl_FMulFSubA, &&Lbl_FMulFSubB,
-      &&Lbl_LoadIJmp,  &&Lbl_CopyJmp,
   };
-  assert(sizeof(DispatchTable) / sizeof(void *) ==
-             static_cast<size_t>(DecodedOp::kNumDecodedOps) &&
+  assert(sizeof(DispatchTable) / sizeof(void *) == NumDecodedOps &&
          "dispatch table must cover every DecodedOp");
   RPCC_DISPATCH();
 #else
@@ -317,11 +272,6 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
 #define RPCC_NEXT()                                                            \
   {                                                                            \
     ++PC;                                                                      \
-    break;                                                                     \
-  }
-#define RPCC_NEXT2()                                                           \
-  {                                                                            \
-    PC += 2;                                                                   \
     break;                                                                     \
   }
 #define RPCC_JUMP() break
@@ -547,167 +497,7 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
     Err.raise(DF.FaultMsgs[static_cast<size_t>(DI->Imm)]);
     goto fast_done;
 
-// Fused compare-and-branch: the compare's result register is still written
-// (it may have other readers), then the Br is counted and taken directly.
-#define RPCC_CMP_BR(CMP)                                                       \
-  do {                                                                         \
-    const uint64_t C = (CMP);                                                  \
-    R[DI->Result] = C;                                                         \
-    RPCC_COUNT_STEP(Opcode::Br);                                               \
-    PC = C ? DI->T0 : DI->T1;                                                  \
-  } while (0)
-
-  RPCC_CASE(CmpEqBr):
-    RPCC_CMP_BR(R[DI->A] == R[DI->B]);
-    RPCC_JUMP();
-  RPCC_CASE(CmpNeBr):
-    RPCC_CMP_BR(R[DI->A] != R[DI->B]);
-    RPCC_JUMP();
-  RPCC_CASE(CmpLtBr):
-    RPCC_CMP_BR(asI(R[DI->A]) < asI(R[DI->B]));
-    RPCC_JUMP();
-  RPCC_CASE(CmpLeBr):
-    RPCC_CMP_BR(asI(R[DI->A]) <= asI(R[DI->B]));
-    RPCC_JUMP();
-  RPCC_CASE(CmpGtBr):
-    RPCC_CMP_BR(asI(R[DI->A]) > asI(R[DI->B]));
-    RPCC_JUMP();
-  RPCC_CASE(CmpGeBr):
-    RPCC_CMP_BR(asI(R[DI->A]) >= asI(R[DI->B]));
-    RPCC_JUMP();
-  RPCC_CASE(FCmpEqBr):
-    RPCC_CMP_BR(asF(R[DI->A]) == asF(R[DI->B]));
-    RPCC_JUMP();
-  RPCC_CASE(FCmpNeBr):
-    RPCC_CMP_BR(asF(R[DI->A]) != asF(R[DI->B]));
-    RPCC_JUMP();
-  RPCC_CASE(FCmpLtBr):
-    RPCC_CMP_BR(asF(R[DI->A]) < asF(R[DI->B]));
-    RPCC_JUMP();
-  RPCC_CASE(FCmpLeBr):
-    RPCC_CMP_BR(asF(R[DI->A]) <= asF(R[DI->B]));
-    RPCC_JUMP();
-  RPCC_CASE(FCmpGtBr):
-    RPCC_CMP_BR(asF(R[DI->A]) > asF(R[DI->B]));
-    RPCC_JUMP();
-  RPCC_CASE(FCmpGeBr):
-    RPCC_CMP_BR(asF(R[DI->A]) >= asF(R[DI->B]));
-    RPCC_JUMP();
-
-// Fused constant-load-and-consume: the constant's register is written first
-// (later readers and the both-operands case behave exactly as unfused),
-// then the consumer is counted and executed over the register file.
-#define RPCC_LOADI_THEN(OPC, EXPR)                                             \
-  do {                                                                         \
-    R[DI->T0] = static_cast<uint64_t>(DI->Imm);                                \
-    RPCC_COUNT_STEP(OPC);                                                      \
-    R[DI->Result] = (EXPR);                                                    \
-  } while (0)
-
-  RPCC_CASE(LoadIAdd):
-    RPCC_LOADI_THEN(Opcode::Add, wrapAdd(R[DI->A], R[DI->B]));
-    RPCC_NEXT2();
-  RPCC_CASE(LoadIMul):
-    RPCC_LOADI_THEN(Opcode::Mul, wrapMul(R[DI->A], R[DI->B]));
-    RPCC_NEXT2();
-  RPCC_CASE(LoadISub):
-    RPCC_LOADI_THEN(Opcode::Sub, wrapSub(R[DI->A], R[DI->B]));
-    RPCC_NEXT2();
-  RPCC_CASE(LoadICmpEq):
-    RPCC_LOADI_THEN(Opcode::CmpEq, uint64_t(R[DI->A] == R[DI->B]));
-    RPCC_NEXT2();
-  RPCC_CASE(LoadICmpNe):
-    RPCC_LOADI_THEN(Opcode::CmpNe, uint64_t(R[DI->A] != R[DI->B]));
-    RPCC_NEXT2();
-  RPCC_CASE(LoadICmpLt):
-    RPCC_LOADI_THEN(Opcode::CmpLt, uint64_t(asI(R[DI->A]) < asI(R[DI->B])));
-    RPCC_NEXT2();
-
-// Fused address-arithmetic chain: first Add/Mul writes its register, then
-// the outer Add (operands T1 and the fresh result, read back through R so
-// register aliasing behaves exactly as unfused) is counted and executed.
-#define RPCC_BIN_THEN_ADD(EXPR)                                                \
-  do {                                                                         \
-    R[DI->T0] = (EXPR);                                                        \
-    RPCC_COUNT_STEP(Opcode::Add);                                              \
-    R[DI->Result] = wrapAdd(R[DI->T1], R[DI->T0]);                             \
-  } while (0)
-
-  RPCC_CASE(AddAdd):
-    RPCC_BIN_THEN_ADD(wrapAdd(R[DI->A], R[DI->B]));
-    RPCC_NEXT2();
-  RPCC_CASE(MulAdd):
-    RPCC_BIN_THEN_ADD(wrapMul(R[DI->A], R[DI->B]));
-    RPCC_NEXT2();
-
-// Fused address-then-load: the Add's register is written before the load
-// so a faulting load leaves the same (unobservable) register state as the
-// unfused pair, then the pointer load is counted and executed.
-#define RPCC_ADD_THEN_LOAD(OPC)                                                \
-  do {                                                                         \
-    const uint64_t Addr = wrapAdd(R[DI->A], R[DI->B]);                         \
-    R[DI->T0] = Addr;                                                          \
-    RPCC_COUNT_STEP_LOAD(OPC);                                                 \
-    R[DI->Result] = loadMem(Addr, DI->MemTy);                                  \
-    if (Err.Active)                                                            \
-      goto fast_done;                                                          \
-  } while (0)
-
-  RPCC_CASE(AddLoad):
-    RPCC_ADD_THEN_LOAD(Opcode::Load);
-    RPCC_NEXT2();
-  RPCC_CASE(AddConstLoad):
-    RPCC_ADD_THEN_LOAD(Opcode::ConstLoad);
-    RPCC_NEXT2();
-  RPCC_CASE(AddStore): {
-    // As AddLoad, but the stored value rides in Result; it is read after
-    // the address register is written, exactly as the unfused pair would.
-    const uint64_t Addr = wrapAdd(R[DI->A], R[DI->B]);
-    R[DI->T0] = Addr;
-    RPCC_COUNT_STEP_STORE(Opcode::Store);
-    storeMem(Addr, DI->MemTy, R[DI->Result]);
-    if (Err.Active)
-      goto fast_done;
-    RPCC_NEXT2();
-  }
-
-// Fused multiply-accumulate: the product's register is written first, then
-// the outer FAdd/FSub is counted and executed reading back through R, with
-// the operand order the variant recorded at decode time.
-#define RPCC_FMUL_THEN(OPC, EXPR)                                              \
-  do {                                                                         \
-    R[DI->T0] = fromF(asF(R[DI->A]) * asF(R[DI->B]));                          \
-    RPCC_COUNT_STEP(OPC);                                                      \
-    R[DI->Result] = fromF(EXPR);                                               \
-  } while (0)
-
-  RPCC_CASE(FMulFAddA):
-    RPCC_FMUL_THEN(Opcode::FAdd, asF(R[DI->T0]) + asF(R[DI->T1]));
-    RPCC_NEXT2();
-  RPCC_CASE(FMulFAddB):
-    RPCC_FMUL_THEN(Opcode::FAdd, asF(R[DI->T1]) + asF(R[DI->T0]));
-    RPCC_NEXT2();
-  RPCC_CASE(FMulFSubA):
-    RPCC_FMUL_THEN(Opcode::FSub, asF(R[DI->T0]) - asF(R[DI->T1]));
-    RPCC_NEXT2();
-  RPCC_CASE(FMulFSubB):
-    RPCC_FMUL_THEN(Opcode::FSub, asF(R[DI->T1]) - asF(R[DI->T0]));
-    RPCC_NEXT2();
-  RPCC_CASE(LoadIJmp):
-    R[DI->Result] = static_cast<uint64_t>(DI->Imm);
-    RPCC_COUNT_STEP(Opcode::Jmp);
-    PC = DI->T0;
-    RPCC_JUMP();
-  RPCC_CASE(CopyJmp):
-    R[DI->Result] = R[DI->A];
-    RPCC_COUNT_STEP(Opcode::Jmp);
-    PC = DI->T0;
-    RPCC_JUMP();
-
 #if !RPCC_INTERP_THREADED
-    case DecodedOp::kNumDecodedOps:
-      assert(false && "sentinel DecodedOp reached the fast engine");
-      goto fast_done;
     }
   }
 #endif
@@ -716,21 +506,12 @@ fast_done:
   RPCC_FLUSH_COUNTERS();
 
 #undef RPCC_STEP_PROLOGUE
-#undef RPCC_COUNT_STEP
-#undef RPCC_COUNT_STEP_LOAD
-#undef RPCC_COUNT_STEP_STORE
 #undef RPCC_TALLY_LOAD
 #undef RPCC_TALLY_STORE
-#undef RPCC_CMP_BR
-#undef RPCC_LOADI_THEN
-#undef RPCC_BIN_THEN_ADD
-#undef RPCC_ADD_THEN_LOAD
-#undef RPCC_FMUL_THEN
 #undef RPCC_FLUSH_COUNTERS
 #undef RPCC_RELOAD_COUNTERS
 #undef RPCC_CASE
 #undef RPCC_NEXT
-#undef RPCC_NEXT2
 #undef RPCC_JUMP
 #if RPCC_INTERP_THREADED
 #undef RPCC_DISPATCH

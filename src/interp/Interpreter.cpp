@@ -79,12 +79,9 @@ ExecResult Machine::run() {
 
   // Decode against the layout before its pieces move into machine state;
   // baked addresses and machine addresses come from the same computation.
-  // The jit decodes unfused: its templates cover exactly the base ops, and
-  // unfused streams keep its per-op counting prologue trivially exact.
   DecodedModule Decoded;
   if (Opts.Engine != InterpEngine::Switch)
-    Decoded = decodeModule(M, GL, Layouts, Prof ? &Sink : nullptr,
-                           /*Fuse=*/Opts.Engine == InterpEngine::FastPath);
+    Decoded = decodeModule(M, GL, Layouts, Prof ? &Sink : nullptr);
 
   GlobalMem = std::move(GL.Image);
   GlobalAddr = std::move(GL.AddrOfTag);

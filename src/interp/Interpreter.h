@@ -62,20 +62,35 @@ struct FunctionCounters {
 /// fast path per function (see docs/INTERPRETER.md).
 enum class InterpEngine : uint8_t { Switch, FastPath, Jit };
 
+// The JIT exists only on x86-64 unix hosts and outside sanitizer builds
+// (generated code is invisible to sanitizer instrumentation). Everything
+// else compiles the interface but jitSupported() is false and
+// jitProgramFor returns nothing.
+#if defined(__x86_64__) && defined(__unix__) && !defined(RPCC_NO_JIT)
+#define RPCC_JIT_AVAILABLE 1
+#else
+#define RPCC_JIT_AVAILABLE 0
+#endif
+
 /// True when this build can execute InterpEngine::Jit: x86-64 unix hosts,
 /// non-sanitizer builds (sanitizers cannot see into generated code, so
 /// instrumented runs keep to the interpreted engines). Callers must check
 /// before selecting the engine; interpret() reports an error otherwise.
 bool jitSupported();
 
-/// FastPath everywhere except sanitizer builds (RPCC_SANITIZE), which keep
-/// the reference engine as their default so instrumented runs cover the
-/// plain loop; the parity tests still exercise the fast path explicitly.
+/// The default among the interpreted engines: FastPath, except sanitizer
+/// builds (RPCC_SANITIZE), which keep the reference engine so instrumented
+/// runs cover the plain loop; the parity tests still exercise the fast path
+/// explicitly.
 #ifdef RPCC_SANITIZER_BUILD
-inline constexpr InterpEngine DefaultInterpEngine = InterpEngine::Switch;
+inline constexpr InterpEngine DefaultInterpretedEngine = InterpEngine::Switch;
 #else
-inline constexpr InterpEngine DefaultInterpEngine = InterpEngine::FastPath;
+inline constexpr InterpEngine DefaultInterpretedEngine = InterpEngine::FastPath;
 #endif
+
+/// Jit wherever the build has it, the interpreted default elsewhere.
+inline constexpr InterpEngine DefaultInterpEngine =
+    RPCC_JIT_AVAILABLE ? InterpEngine::Jit : DefaultInterpretedEngine;
 
 /// CLI-stable engine name: "switch", "fastpath", or "jit".
 const char *interpEngineName(InterpEngine E);

@@ -21,9 +21,9 @@
 ///    loaded at block entry and written back at block exit and around
 ///    call/shim sites — every point the interpreters could observe the
 ///    memory register file sees identical contents (see JitRegAlloc.h).
-///  * Superinstruction templates emitted directly from the unfused stream
+///  * Superinstruction templates emitted directly from the decoded stream
 ///    (compare+branch flag reuse, LoadI folding, FMul+FAdd/FSub), counting
-///    both constituent steps exactly like the fast path's fused handlers.
+///    both constituent steps exactly as the fast path counts the pair.
 ///  * Deferred counter accumulation: ByOpcode and the load/store tallies
 ///    are added as static per-block totals at block exits instead of
 ///    per-step read-modify-writes; fault paths reconstruct the partial
@@ -39,7 +39,7 @@
 /// WallDeadlineMs) are checked at the identical program points, so the
 /// budget-parity tests hold including Counters.Total.
 ///
-/// Functions the emitter declines (an operation outside the template set,
+/// Functions the emitter declines (a malformed stream or frame layout,
 /// out-of-range displacements) simply get no native entry and run on the
 /// fast-path engine — the per-function fallback that makes --engine=jit
 /// total.
@@ -60,16 +60,6 @@
 namespace rpcc {
 
 class Machine;
-
-// The JIT exists only on x86-64 unix hosts and outside sanitizer builds
-// (generated code is invisible to sanitizer instrumentation). Everything
-// else compiles the interface but jitSupported() is false and
-// jitProgramFor returns nothing.
-#if defined(__x86_64__) && defined(__unix__) && !defined(RPCC_NO_JIT)
-#define RPCC_JIT_AVAILABLE 1
-#else
-#define RPCC_JIT_AVAILABLE 0
-#endif
 
 /// Shared cell block between emitted code and the runtime shims. Pinned in
 /// r15 for the whole native activation; emitted code addresses fields by
@@ -206,7 +196,7 @@ private:
       NResidentRegs{0};
 };
 
-/// Shared program for \p DM decoded unfused against a global image of
+/// Shared program for \p DM decoded against a global image of
 /// \p GlobalSize bytes (profiling on/off changes emission, so it is part of
 /// the identity). With \p UseCache, consults the process-wide cache keyed
 /// on the decoded stream's content — everything the emitter bakes into code

@@ -1,10 +1,10 @@
 //===- jit/JitEmitter.cpp - Optimizing x86-64 template emitter ------------===//
 //
-// Lowers decoded (unfused) instruction streams to native code. On top of the
+// Lowers decoded instruction streams to native code. On top of the
 // baseline templates this tier performs block-local host register residency
-// (JitRegAlloc.h), superinstruction fusion re-derived from the unfused
-// stream, deferred counter accumulation, and relocatable code emission so
-// compiled functions can be shared through the code cache.
+// (JitRegAlloc.h), superinstruction fusion of adjacent pairs, deferred
+// counter accumulation, and relocatable code emission so compiled functions
+// can be shared through the code cache.
 //
 // Register convention inside a compiled function:
 //   callee-saved pins (live across shim calls):
@@ -328,8 +328,8 @@ public:
                   bool Profiled, const RegAllocResult &RA, Asm &A)
       : DF(DF), GlobalSize(GlobalSize), Profiled(Profiled), RA(RA), A(A) {}
 
-  /// Emits the whole function; returns false when some instruction is
-  /// outside the template set or a fixup overflows rel32.
+  /// Emits the whole function; returns false on a malformed stream or
+  /// frame layout, or when a fixup overflows rel32.
   bool emit();
 
   size_t fusedPairs() const { return NFused; }
@@ -662,12 +662,12 @@ void FunctionEmitter::emitAccess(const DecodedInst &DI, uint8_t AddrReg,
   }
 }
 
-/// Superinstruction recognition, re-derived from the unfused stream at emit
-/// time — the mirror of Decode.cpp's fuseSuperinstructions for the pairs
-/// where a native template actually wins (flag reuse, immediate folding,
-/// product residency). Both constituent steps run their full counting
-/// prologue first, then the pair executes; the only divergence from the
-/// fast path is post-fault register contents, which nothing can observe.
+/// Superinstruction recognition over the decoded stream at emit time, for
+/// the adjacent pairs where a native template wins (flag reuse, immediate
+/// folding, product residency); this is rpcc's only fusion. Both
+/// constituent steps run their full counting prologue first, then the pair
+/// executes; the only divergence from the fast path is post-fault register
+/// contents, which nothing can observe.
 uint32_t FunctionEmitter::emitFused(uint32_t I) {
   if (I + 1 >= N || IsBlockStart[I + 1])
     return 0;
@@ -748,7 +748,7 @@ uint32_t FunctionEmitter::emitFused(uint32_t I) {
     const int32_t Imm = static_cast<int32_t>(DI.Imm);
     {
       // The constant's register is still defined (it may have readers
-      // beyond the fused consumer), exactly like the fast path's handler.
+      // beyond the fused consumer), exactly as when the pair runs unfused.
       int S = slotOf(DI.Result);
       if (S >= 0) {
         A.movRI(PoolReg[S], static_cast<uint64_t>(DI.Imm));
@@ -1225,10 +1225,6 @@ uint32_t FunctionEmitter::emitInst(uint32_t I) {
     A.callM(R15, offsetof(JitRT, HelpFault));
     jmpTo(stub(StubFaultP));
     return 1;
-  default:
-    // Fused superinstruction (the module must be decoded unfused) or a new
-    // DecodedOp without a template: decline the whole function.
-    return 0;
   }
   // Fall-through template: the segment must continue into I + 1.
   if (endsSegment())

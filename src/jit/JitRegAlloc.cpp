@@ -1,6 +1,6 @@
 //===- jit/JitRegAlloc.cpp - Block-local host register allocation ---------===//
 //
-// Counts IL register uses per basic block of the unfused decoded stream and
+// Counts IL register uses per basic block of the decoded stream and
 // assigns the most-used ones to the emitter's free host-register pool. See
 // JitRegAlloc.h for the residency contract.
 //
@@ -14,7 +14,7 @@ using namespace rpcc;
 
 namespace {
 
-/// Operand roles of one unfused decoded instruction. Only true register
+/// Operand roles of one decoded instruction. Only true register
 /// operands count: Call's A is an argument count, branch targets are
 /// instruction indices, and call arguments are read from the memory
 /// register file by the shim (mapping them buys nothing at a site that
@@ -64,7 +64,7 @@ OperandRoles rolesOf(const DecodedInst &DI) {
   case DecodedOp::Br: case DecodedOp::RetVal:
     R.Read1 = DI.A;
     break;
-  default: // Jmp, RetVoid, Fault, and (never here) fused ops
+  default: // Jmp, RetVoid, Fault
     break;
   }
   return R;

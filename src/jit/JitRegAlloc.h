@@ -76,8 +76,8 @@ struct RegAllocResult {
   size_t ResidentRegs = 0;
 };
 
-/// Decides residency for every block of \p DF (which must be decoded
-/// unfused — operand roles are enumerated per base DecodedOp).
+/// Decides residency for every block of \p DF (operand roles are
+/// enumerated per DecodedOp).
 RegAllocResult allocateBlockRegs(const DecodedFunction &DF);
 
 } // namespace rpcc

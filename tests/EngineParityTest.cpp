@@ -7,7 +7,8 @@
 // programs, and on faulting executions, with profiling on and off. The
 // comparison is three-way (switch, fastpath, jit) on hosts with a jit;
 // elsewhere the jit leg is skipped. Any mismatch here means a decode,
-// superinstruction, or code-emission bug, not noise.
+// dispatch, or code-emission bug (the jit's superinstruction templates
+// included), not noise.
 //
 //===----------------------------------------------------------------------===//
 
@@ -81,8 +82,10 @@ void expectParity(Module &M, const InterpOptions &Base,
   }
 }
 
-/// Parity with and without a profile sink attached (profiled decodes fuse
-/// fewer pairs, so both shapes of the fast path get exercised).
+/// Parity with and without a profile sink attached. Profiled runs take
+/// different code in every engine: the interpreters attribute each memory
+/// step to its tag, and the jit emits profile shims with register
+/// residency disabled.
 void expectParityBothProfiles(Module &M, const std::string &What) {
   expectParity(M, InterpOptions{}, What + " [unprofiled]");
   ProfileMeta Meta = ProfileMeta::build(M);
@@ -213,7 +216,7 @@ TEST(EngineParityTest, FpToIntSaturationVectorsMatch) {
 }
 
 // The step limit can strike anywhere, including between the two halves of a
-// fused superinstruction; sweeping every cutoff through a loop body checks
+// jit superinstruction; sweeping every cutoff through a loop body checks
 // that each engine counts each half as a distinct step exactly like the
 // reference engine does.
 TEST(EngineParityTest, StepLimitSweepMatches) {
@@ -241,10 +244,10 @@ TEST(EngineParityTest, StepLimitSweepMatches) {
 // operand orders. Sweeping the step limit across two-plus iterations lands
 // the cutoff between the halves of each pair; both halves must count as
 // distinct steps and the partial-iteration counters must match the switch
-// engine exactly. The profiled leg is the sharper check: a profiled
-// fast-path decode drops fusion while the jit re-derives its pairs from the
-// unfused stream, so the two engines run differently-shaped code over the
-// same cutoffs.
+// engine exactly. The fast path runs each pair as two dispatches, so the
+// comparison also pins the jit's fused templates against an unfused engine
+// over the same cutoffs; the profiled leg repeats it with the jit's profile
+// shims in place.
 TEST(EngineParityTest, FusedPairStepLimitSweepMatches) {
   Module M = compileOrDie(
       "int A[4]; float x; float y;\n"

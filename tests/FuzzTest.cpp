@@ -285,6 +285,45 @@ TEST(CampaignTest, ModeFlagsRespected) {
   EXPECT_EQ(R.Log, "rpfuzz: 5 seeds clean\n");
 }
 
+namespace {
+
+/// Per-cell load totals where every promotion pair's with-promotion cell
+/// ran exactly one load more than its without-promotion twin.
+std::vector<uint64_t> onePromotedLoadMore(const std::vector<FuzzConfig> &M) {
+  std::vector<uint64_t> Totals(M.size(), 1000);
+  for (auto [Without, With] : promotionPairs(M))
+    Totals[With] = Totals[Without] + 1;
+  return Totals;
+}
+
+} // namespace
+
+TEST(CampaignTest, CorpusLoadCheckSkipsTinyCorpus) {
+  // One program may legitimately load more with promotion (a landing-pad
+  // load); below the minimum corpus the check notes itself skipped.
+  std::vector<FuzzConfig> Matrix = fullMatrix();
+  ASSERT_FALSE(promotionPairs(Matrix).empty());
+  CorpusLoadVerdict V =
+      checkCorpusLoads(Matrix, onePromotedLoadMore(Matrix), 1);
+  EXPECT_EQ(V.Failures, 0u);
+  EXPECT_EQ(V.Log, "rpfuzz: corpus load check skipped (1 program(s), needs " +
+                       std::to_string(MinLoadCheckCorpus) + ")\n");
+}
+
+TEST(CampaignTest, CorpusLoadCheckFailsAtMinimumCorpus) {
+  std::vector<FuzzConfig> Matrix = fullMatrix();
+  const size_t Pairs = promotionPairs(Matrix).size();
+  CorpusLoadVerdict V = checkCorpusLoads(
+      Matrix, onePromotedLoadMore(Matrix), MinLoadCheckCorpus);
+  EXPECT_EQ(V.Failures, Pairs);
+  EXPECT_EQ(V.Log.rfind("FAIL corpus load counts: ", 0), 0u) << V.Log;
+  // Equal totals pass at any size.
+  std::vector<uint64_t> Even(Matrix.size(), 1000);
+  V = checkCorpusLoads(Matrix, Even, MinLoadCheckCorpus);
+  EXPECT_EQ(V.Failures, 0u);
+  EXPECT_EQ(V.Log, "");
+}
+
 TEST(MatrixTest, ConfigNamesAreUnique) {
   std::vector<FuzzConfig> Matrix = fullMatrix();
   EXPECT_GE(Matrix.size(), 48u);

@@ -546,9 +546,14 @@ TEST(Metrics, ExpositionShapes) {
 
 // Two runs of the same suite workload — serial and parallel — must project
 // to identical canon strings, the metrics mirror of the rpjson trace canon.
+// The legs share one process, so they run on the interpreted default: the
+// jit counts its compile-side metrics once per program in its process-wide
+// code cache, and the second leg would find that cache warm. The jit's
+// canon is compared across --jobs in fresh processes by metrics_json_diff.
 TEST(Metrics, SuiteCanonIsJobsIndependent) {
   MetricsRegistry &R = MetricsRegistry::global();
   SuiteOptions Opts;
+  Opts.Interp.Engine = DefaultInterpretedEngine;
   std::string Canon[2];
   for (int Leg = 0; Leg != 2; ++Leg) {
     R.reset();

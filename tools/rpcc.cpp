@@ -59,11 +59,10 @@ void usage() {
       "output options:\n"
       "  --run                      execute and print exit code + output\n"
       "  --engine=switch|fastpath|jit\n"
-      "                             interpreter engine (default: fastpath,\n"
-      "                             or switch in sanitizer builds); all\n"
-      "                             produce identical counts and output;\n"
-      "                             jit needs an x86-64 unix host and a\n"
-      "                             non-sanitizer build\n"
+      "                             interpreter engine (default: jit on\n"
+      "                             x86-64 unix hosts, else fastpath, or\n"
+      "                             switch in sanitizer builds); all\n"
+      "                             produce identical counts and output\n"
       "  --counts                   print total/load/store counters "
       "(implies --run)\n"
       "  --stats                    print per-pass statistics\n"

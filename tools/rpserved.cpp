@@ -56,7 +56,8 @@ void printUsage() {
       "  --sandbox-mem=MB     memory cap for /run and /suite children\n"
       "                       (default 512)\n"
       "  --engine=E           default execute engine: switch | fastpath |\n"
-      "                       jit (default fastpath)\n"
+      "                       jit (default jit on x86-64 unix hosts, else\n"
+      "                       fastpath, or switch in sanitizer builds)\n"
       "  --fork-per-request   benchmark baseline: fork a child per request,\n"
       "                       no artifact cache or coalescing\n"
       "  --metrics-json=FILE  write the metrics JSON snapshot on exit\n"
