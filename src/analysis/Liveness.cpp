@@ -6,62 +6,59 @@
 
 using namespace rpcc;
 
-Reg rpcc::instDefUses(const Instruction &I, std::vector<Reg> &Uses) {
-  assert(I.Op != Opcode::Phi && "liveness runs on phi-free IL");
-  for (Reg R : I.Ops)
-    Uses.push_back(R);
-  return I.Result;
-}
-
-Liveness::Liveness(const Function &F) {
+void Liveness::compute(const Function &F) {
   const size_t NB = F.numBlocks();
-  const size_t NR = F.numRegs();
-  In.assign(NB, DenseBitSet(NR));
-  Out.assign(NB, DenseBitSet(NR));
+  W = (F.numRegs() + 63) / 64;
+  In.assign(NB * W, 0);
+  Out.assign(NB * W, 0);
+  Use.assign(NB * W, 0);
+  Def.assign(NB * W, 0);
 
   // Block-local USE (upward exposed) and DEF sets.
-  std::vector<DenseBitSet> Use(NB, DenseBitSet(NR)),
-      Def(NB, DenseBitSet(NR));
-  std::vector<Reg> Tmp;
   for (const auto &B : F.blocks()) {
-    DenseBitSet &U = Use[B->id()];
-    DenseBitSet &D = Def[B->id()];
+    uint64_t *U = &Use[B->id() * W];
+    uint64_t *D = &Def[B->id() * W];
     for (const auto &IP : B->insts()) {
-      Tmp.clear();
-      Reg DefR = instDefUses(*IP, Tmp);
-      for (Reg R : Tmp)
-        if (!D.test(R))
-          U.set(R);
-      if (DefR != NoReg)
-        D.set(DefR);
+      const Instruction &I = *IP;
+      assert(I.Op != Opcode::Phi && "liveness runs on phi-free IL");
+      for (Reg R : I.Ops)
+        if (!testBit(D, R))
+          setBit(U, R);
+      if (I.hasResult())
+        setBit(D, I.Result);
     }
   }
 
   // Worklist iteration to the (unique) fixpoint of the backward problem.
-  // Only a block whose successors' IN changed is revisited, and the two
-  // scratch sets are reused across visits instead of reallocated.
-  std::vector<char> Queued(NB, 1);
-  std::vector<BlockId> Work;
-  Work.reserve(NB);
+  // Only a block whose successors' IN changed is revisited. IN is computed
+  // word by word straight into its row; the OUT scratch row is reused
+  // across visits.
+  Queued.assign(NB, 1);
+  Work.clear();
   for (size_t BI = 0; BI != NB; ++BI)
     Work.push_back(static_cast<BlockId>(BI)); // popped back-to-front
-  DenseBitSet NewOut(NR), NewIn(NR);
+  NewOut.assign(W, 0);
   while (!Work.empty()) {
     BlockId BI = Work.back();
     Work.pop_back();
     Queued[BI] = 0;
     const BasicBlock *B = F.block(BI);
-    NewOut.clear();
+    for (size_t WI = 0; WI != W; ++WI)
+      NewOut[WI] = 0;
     for (BlockId S : B->succs())
-      NewOut.unionWith(In[S]);
-    NewIn = NewOut;
-    NewIn.subtract(Def[BI]);
-    NewIn.unionWith(Use[BI]);
-    bool InChanged = NewIn != In[BI];
-    if (InChanged)
-      std::swap(In[BI], NewIn);
-    if (NewOut != Out[BI])
-      std::swap(Out[BI], NewOut);
+      for (size_t WI = 0; WI != W; ++WI)
+        NewOut[WI] |= In[S * W + WI];
+    bool InChanged = false;
+    uint64_t *InRow = &In[BI * W];
+    uint64_t *OutRow = &Out[BI * W];
+    const uint64_t *U = &Use[BI * W];
+    const uint64_t *D = &Def[BI * W];
+    for (size_t WI = 0; WI != W; ++WI) {
+      uint64_t NewIn = (NewOut[WI] & ~D[WI]) | U[WI];
+      InChanged |= NewIn != InRow[WI];
+      InRow[WI] = NewIn;
+      OutRow[WI] = NewOut[WI];
+    }
     if (InChanged)
       for (BlockId P : B->preds())
         if (!Queued[P]) {

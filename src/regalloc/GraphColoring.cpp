@@ -5,23 +5,55 @@
 #include "analysis/Cfg.h"
 #include "analysis/LoopInfo.h"
 #include "regalloc/Liverange.h"
+#include "support/DenseBitSet.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <memory>
-#include <queue>
 
 using namespace rpcc;
 
 namespace {
 
+/// The register of the lowest set bit of word \p WordIdx of a row.
+Reg bitReg(size_t WordIdx, uint64_t Bits) {
+  return static_cast<Reg>(WordIdx * 64 + __builtin_ctzll(Bits));
+}
+
+/// Every buffer the allocator needs, owned by one allocateRegisters() call
+/// and reused across all of its spill rounds and functions, so the steady
+/// state allocates nothing: each vector is re-assign()ed to the current
+/// size, which keeps its capacity.
+struct Workspace {
+  InterferenceGraph IG;
+  std::vector<double> BlockWeight;
+  std::vector<bool> NoSpill;
+  std::vector<Reg> Remap;
+  // color(): per-node degree, the simplify stack and the spill list, the
+  // alive / eligible / colored node sets (W words each), one K-bit
+  // used-color set, and the optimistic spill order.
+  std::vector<unsigned> Degree;
+  std::vector<Reg> Stack, SpillList;
+  std::vector<uint64_t> Alive, Eligible, Colored, UsedColors;
+  std::vector<std::pair<double, Reg>> SpillOrder;
+  std::vector<int> Colors;
+  // Spill rounds: each register's definition count, last definition, and
+  // the blocks it occurs in (one bit row of ceil(NB/64) words each).
+  std::vector<unsigned> NumDefs;
+  std::vector<const Instruction *> DefInst;
+  std::vector<BasicBlock *> DefBlock;
+  std::vector<uint64_t> RegBlocks;
+};
+
 class Allocator {
 public:
   Allocator(Module &M, Function &F, const RegAllocOptions &Opts,
-            RegAllocStats &Stats)
+            RegAllocStats &Stats, Workspace &WS)
       : M(M), F(F), Opts(Opts), K(effectiveK(F, Opts.NumRegisters)),
-        Stats(Stats) {}
+        Stats(Stats), WS(WS), IG(WS.IG), Colors(WS.Colors),
+        NoSpill(WS.NoSpill) {
+    NoSpill.clear();
+  }
 
   /// Arguments are passed in registers, so an instruction with N operands
   /// needs N simultaneous registers no matter how much we spill; likewise
@@ -50,26 +82,33 @@ public:
     // loop-depth spill weights are computed once for every graph build.
     {
       LoopInfo LI(F);
-      BlockWeight.assign(F.numBlocks(), 1.0);
+      WS.BlockWeight.assign(F.numBlocks(), 1.0);
       for (BlockId B = 0; B != F.numBlocks(); ++B) {
         int LoopIdx = LI.innermostLoop(B);
         unsigned Depth = LoopIdx < 0 ? 0 : LI.loop(LoopIdx).Depth;
-        BlockWeight[B] = std::pow(10.0, static_cast<double>(Depth));
+        WS.BlockWeight[B] = std::pow(10.0, static_cast<double>(Depth));
       }
     }
     for (unsigned Round = 0; Round < 100; ++Round) {
       ++Stats.Rounds;
       // coalesce() folds merges into the round's single graph with the
-      // union update, which matches a from-scratch rebuild of the
-      // rewritten function (see InterferenceGraph::merge) — so the graph
-      // it hands back is colored directly, and the only rebuilds left are
-      // the one per spill round.
-      std::unique_ptr<InterferenceGraph> IG = coalesce();
-      std::vector<Reg> SpillList;
-      if (color(*IG, SpillList)) {
+      // union update, which holds every interference of the rewritten
+      // function (see InterferenceGraph::merge) — so the graph it leaves
+      // in IG is colored directly, and the only rebuilds left are the one
+      // per spill round.
+      coalesce();
+      std::vector<Reg> &SpillList = WS.SpillList;
+      SpillList.clear();
+      if (color(SpillList)) {
         rewriteToColors();
         return;
       }
+      // Every register on the list came off the simplify stack, which
+      // holds each node once, so the list has no duplicates; and spilling
+      // one register never adds, removes or renames another's definition
+      // or use (only its own and fresh temporaries'). So one occurrence
+      // table, taken before the first spill, serves the whole round.
+      buildOccurrenceTable();
       for (Reg V : SpillList)
         spill(V);
     }
@@ -78,28 +117,33 @@ public:
 
 private:
   // -- Coalescing ---------------------------------------------------------
+  // Both tests below read masked rows: `row & live & class` holds exactly
+  // the same-class neighbors the adjacency lists of earlier versions held
+  // after skipping dead entries. They only count or test membership, so
+  // the word order of the walk is immaterial. A and B never interfere
+  // here (coalesce() checks first), so neither is in the other's row.
+
   /// Briggs conservative test: merging is safe if the combined node has
-  /// fewer than K same-class neighbors of significant degree. Dead
-  /// adjacency entries (nodes already folded away by earlier merges) are
-  /// skipped lazily.
-  bool briggsSafe(const InterferenceGraph &IG, Reg A, Reg B) {
+  /// fewer than K same-class neighbors of significant degree.
+  bool briggsSafe(Reg A, Reg B) const {
     unsigned Significant = 0;
-    for (Reg Nb : IG.neighbors(A)) {
-      if (Nb == B || !IG.isLive(Nb) || F.regType(Nb) != F.regType(A))
-        continue;
-      unsigned Deg = IG.classDegree(Nb);
-      if (IG.interfere(Nb, B))
-        --Deg; // merged node counts once
-      if (Deg >= K)
-        ++Significant;
-    }
-    // Neighbors of B not shared with A.
-    for (Reg Nb : IG.neighbors(B)) {
-      if (Nb == A || !IG.isLive(Nb) || IG.interfere(Nb, A) ||
-          F.regType(Nb) != F.regType(B))
-        continue;
-      if (IG.classDegree(Nb) >= K)
-        ++Significant;
+    const uint64_t *RowA = IG.row(A), *RowB = IG.row(B);
+    const uint64_t *Live = IG.liveWords(), *Cls = IG.classWords(A);
+    for (size_t WI = 0, W = IG.words(); WI != W; ++WI) {
+      const uint64_t Mask = Live[WI] & Cls[WI];
+      for (uint64_t Bits = RowA[WI] & Mask; Bits; Bits &= Bits - 1) {
+        Reg Nb = bitReg(WI, Bits);
+        unsigned Deg = IG.classDegree(Nb);
+        if (testBit(RowB, Nb))
+          --Deg; // merged node counts once
+        if (Deg >= K)
+          ++Significant;
+      }
+      // Neighbors of B not shared with A.
+      for (uint64_t Bits = RowB[WI] & ~RowA[WI] & Mask; Bits;
+           Bits &= Bits - 1)
+        if (IG.classDegree(bitReg(WI, Bits)) >= K)
+          ++Significant;
     }
     return Significant < K;
   }
@@ -108,13 +152,14 @@ private:
   /// same-class neighbor of B either already interferes with A or is of
   /// insignificant degree. Catches the long-live-range copies (promotion's
   /// accumulators) that the Briggs test rejects under pressure.
-  bool georgeSafe(const InterferenceGraph &IG, Reg A, Reg B) {
-    for (Reg Nb : IG.neighbors(B)) {
-      if (Nb == A || !IG.isLive(Nb) || F.regType(Nb) != F.regType(B))
-        continue;
-      if (IG.classDegree(Nb) >= K && !IG.interfere(Nb, A))
-        return false;
-    }
+  bool georgeSafe(Reg A, Reg B) const {
+    const uint64_t *RowA = IG.row(A), *RowB = IG.row(B);
+    const uint64_t *Live = IG.liveWords(), *Cls = IG.classWords(B);
+    for (size_t WI = 0, W = IG.words(); WI != W; ++WI)
+      for (uint64_t Bits = RowB[WI] & ~RowA[WI] & Live[WI] & Cls[WI]; Bits;
+           Bits &= Bits - 1)
+        if (IG.classDegree(bitReg(WI, Bits)) >= K)
+          return false;
     return true;
   }
 
@@ -133,27 +178,28 @@ private:
   /// union update — which keeps degrees current, so no rebuild is needed
   /// between sweeps; sweeps repeat only because a merge elsewhere can drop
   /// a neighborhood below the Briggs threshold and unlock another copy.
-  std::unique_ptr<InterferenceGraph> coalesce() {
-    auto IG = std::make_unique<InterferenceGraph>(F, BlockWeight);
-    std::vector<Reg> Remap(F.numRegs());
+  void coalesce() {
+    IG.build(F, WS.BlockWeight);
+    std::vector<Reg> &Remap = WS.Remap;
+    Remap.resize(F.numRegs());
     for (Reg R = 0; R != F.numRegs(); ++R)
       Remap[R] = R;
     bool NeedRewrite = false;
 
     for (bool MergedAny = true; MergedAny;) {
       MergedAny = false;
-      for (const auto &C : IG->copies()) {
+      for (const auto &C : IG.copies()) {
         Reg A = rep(Remap, C.Dst), B = rep(Remap, C.Src);
-        if (A == B || IG->interfere(A, B))
+        if (A == B || IG.interfere(A, B))
           continue;
         if (F.regType(A) != F.regType(B))
           continue;
-        bool Safe = briggsSafe(*IG, A, B) ||
+        bool Safe = briggsSafe(A, B) ||
                     (Opts.GeorgeCoalescing &&
-                     (georgeSafe(*IG, A, B) || georgeSafe(*IG, B, A)));
+                     (georgeSafe(A, B) || georgeSafe(B, A)));
         if (!Safe)
           continue;
-        IG->merge(A, B, C.Weight);
+        IG.merge(A, B, C.Weight);
         Remap[B] = A;
         NeedRewrite = true;
         MergedAny = true;
@@ -165,7 +211,6 @@ private:
         Remap[R] = rep(Remap, R);
       applyRemap(Remap);
     }
-    return IG;
   }
 
   void applyRemap(const std::vector<Reg> &Remap) {
@@ -190,81 +235,100 @@ private:
   // -- Coloring -------------------------------------------------------------
   /// Colors both register classes; integer nodes draw from {0..K-1},
   /// floats from {K..2K-1}. Only same-class neighbors constrain a node.
-  bool color(const InterferenceGraph &IG, std::vector<Reg> &SpillList) {
-    const size_t N = F.numRegs();
-    std::vector<unsigned> Degree = IG.classDegrees();
-    std::vector<bool> Removed(N, true);
-    std::vector<Reg> Stack;
-    // Low-degree nodes awaiting simplification, kept in a min-heap so each
-    // pick is the lowest-numbered eligible node — the same node a linear
-    // rescan would find. Degrees only decrease, so a node enters at most
-    // once (the Queued flags make re-inserts no-ops).
-    std::priority_queue<Reg, std::vector<Reg>, std::greater<Reg>> LowDegree;
-    std::vector<char> Queued(N, 0);
+  bool color(std::vector<Reg> &SpillList) {
+    const size_t N = IG.numNodes(), W = IG.words();
+    const uint64_t *Live = IG.liveWords();
+    std::vector<unsigned> &Degree = WS.Degree;
+    std::vector<uint64_t> &Alive = WS.Alive, &Eligible = WS.Eligible;
+    std::vector<Reg> &Stack = WS.Stack;
+    Degree = IG.classDegrees();
+    Alive.assign(Live, Live + W);
+    // Low-degree nodes awaiting simplification. Each pick is the lowest
+    // set bit — the lowest-numbered eligible node, the node a min-heap or
+    // a linear rescan would yield. Degrees only decrease, so a node, once
+    // eligible, stays eligible until it is picked; setting its bit again
+    // is a no-op.
+    Eligible.assign(W, 0);
+    Stack.clear();
     size_t Remaining = 0;
-    for (Reg R = 0; R != N; ++R) {
-      if (!IG.isLive(R))
-        continue;
-      Removed[R] = false;
-      if (Degree[R] < K) {
-        LowDegree.push(R);
-        Queued[R] = 1;
+    for (size_t WI = 0; WI != W; ++WI) {
+      Remaining += popcount64(Alive[WI]);
+      for (uint64_t Bits = Alive[WI]; Bits; Bits &= Bits - 1) {
+        Reg R = bitReg(WI, Bits);
+        if (Degree[R] < K)
+          setBit(Eligible.data(), R);
       }
-      ++Remaining;
     }
+
+    // Optimistic spill candidates in pick order, sorted on first need.
+    // Costs do not change during coloring, so the first alive entry is the
+    // cheapest alive node, ties going to the lowest register — exactly
+    // what a scan keeping the first strict minimum picks.
+    std::vector<std::pair<double, Reg>> &SpillOrder = WS.SpillOrder;
+    SpillOrder.clear();
+    size_t SpillCursor = 0;
 
     // Simplify with optimistic spill candidates.
     while (Remaining) {
       Reg Pick = NoReg;
-      if (!LowDegree.empty()) {
-        Pick = LowDegree.top();
-        LowDegree.pop();
-      } else {
-        // Optimistic spill: cheapest candidate, avoiding spiller temps.
-        double Best = 0;
-        for (Reg R = 0; R != N; ++R) {
-          if (Removed[R])
-            continue;
-          double Cost = IG.spillCosts()[R];
-          if (NoSpill.size() > R && NoSpill[R])
-            Cost += 1e12; // strongly avoid re-spilling reload temps
-          if (Pick == NoReg || Cost < Best) {
-            Pick = R;
-            Best = Cost;
-          }
+      for (size_t WI = 0; WI != W; ++WI)
+        if (Eligible[WI]) {
+          Pick = bitReg(WI, Eligible[WI]);
+          break;
         }
+      if (Pick == NoReg) {
+        if (SpillOrder.empty()) {
+          for (size_t WI = 0; WI != W; ++WI)
+            for (uint64_t Bits = Alive[WI]; Bits; Bits &= Bits - 1) {
+              Reg R = bitReg(WI, Bits);
+              double Cost = IG.spillCosts()[R];
+              if (NoSpill.size() > R && NoSpill[R])
+                Cost += 1e12; // strongly avoid re-spilling reload temps
+              SpillOrder.emplace_back(Cost, R);
+            }
+          std::sort(SpillOrder.begin(), SpillOrder.end());
+        }
+        while (!testBit(Alive.data(), SpillOrder[SpillCursor].second))
+          ++SpillCursor;
+        Pick = SpillOrder[SpillCursor++].second;
       }
-      Removed[Pick] = true;
+      resetBit(Alive.data(), Pick);
+      resetBit(Eligible.data(), Pick);
       --Remaining;
       Stack.push_back(Pick);
-      for (Reg Nb : IG.neighbors(Pick))
-        if (!Removed[Nb] && Degree[Nb] > 0 &&
-            F.regType(Nb) == F.regType(Pick)) {
-          --Degree[Nb];
-          if (Degree[Nb] < K && !Queued[Nb]) {
-            LowDegree.push(Nb);
-            Queued[Nb] = 1;
-          }
+      const uint64_t *Row = IG.row(Pick), *Cls = IG.classWords(Pick);
+      for (size_t WI = 0; WI != W; ++WI)
+        for (uint64_t Bits = Row[WI] & Alive[WI] & Cls[WI]; Bits;
+             Bits &= Bits - 1) {
+          Reg Nb = bitReg(WI, Bits);
+          if (Degree[Nb] > 0 && --Degree[Nb] < K)
+            setBit(Eligible.data(), Nb);
         }
     }
 
-    // Select. One stamp buffer serves every node: a color is "used" for
-    // the node under consideration iff its stamp matches that node's
-    // epoch, so no per-node clearing or allocation is needed.
+    // Select. The used colors of a node are collected from its colored
+    // same-class neighbors into one K-bit set; the lowest clear bit is its
+    // color.
     Colors.assign(N, -1);
+    std::vector<uint64_t> &Colored = WS.Colored, &Used = WS.UsedColors;
+    Colored.assign(W, 0);
+    const size_t KW = (K + 63) / 64;
+    Used.resize(KW);
     bool Success = true;
-    std::vector<unsigned> UsedStamp(K, 0);
-    unsigned Epoch = 0;
     for (auto It = Stack.rbegin(); It != Stack.rend(); ++It) {
       Reg R = *It;
-      ++Epoch;
-      for (Reg Nb : IG.neighbors(R))
-        if (Colors[Nb] >= 0 && F.regType(Nb) == F.regType(R))
-          UsedStamp[classColor(Nb)] = Epoch;
+      std::fill(Used.begin(), Used.end(), 0);
+      const uint64_t *Row = IG.row(R), *Cls = IG.classWords(R);
+      for (size_t WI = 0; WI != W; ++WI)
+        for (uint64_t Bits = Row[WI] & Colored[WI] & Cls[WI]; Bits;
+             Bits &= Bits - 1)
+          setBit(Used.data(), classColor(bitReg(WI, Bits)));
       int C = -1;
-      for (unsigned I = 0; I != K; ++I)
-        if (UsedStamp[I] != Epoch) {
-          C = static_cast<int>(I);
+      for (size_t CW = 0; CW != KW; ++CW)
+        if (~Used[CW]) {
+          unsigned I = bitReg(CW, ~Used[CW]);
+          if (I < K)
+            C = static_cast<int>(I);
           break;
         }
       if (C < 0) {
@@ -273,6 +337,7 @@ private:
       } else {
         bool IsFlt = F.regType(R) == RegType::Flt;
         Colors[R] = C + (IsFlt ? static_cast<int>(K) : 0);
+        setBit(Colored.data(), R);
         Stats.ColorsUsed =
             std::max(Stats.ColorsUsed, static_cast<unsigned>(C) + 1);
       }
@@ -292,25 +357,18 @@ private:
   /// constant or tag address is recomputed at each use instead of being
   /// stored and reloaded — hoisted loop invariants spill for free.
   bool tryRematerialize(Reg V) {
-    const Instruction *Def = nullptr;
-    unsigned NumDefs = 0;
     for (Reg P : F.paramRegs())
       if (P == V)
         return false;
-    for (const auto &B : F.blocks())
-      for (const auto &IP : B->insts())
-        if (IP->hasResult() && IP->Result == V) {
-          ++NumDefs;
-          Def = IP.get();
-        }
-    if (NumDefs != 1 || !Def)
+    if (WS.NumDefs[V] != 1)
       return false;
+    const Instruction *Def = WS.DefInst[V];
     if (Def->Op != Opcode::LoadI && Def->Op != Opcode::LoadF &&
         Def->Op != Opcode::LoadAddr)
       return false;
 
     Instruction DefCopy = Def->clone();
-    for (auto &B : F.blocks()) {
+    forEachBlockOf(V, [&](BasicBlock *B) {
       auto &Insts = B->insts();
       for (size_t Idx = 0; Idx < Insts.size(); ++Idx) {
         Instruction &I = *Insts[Idx];
@@ -332,17 +390,55 @@ private:
           if (R == V)
             R = Tmp;
       }
-    }
+    });
     // Delete the original definition; V is now dead.
-    for (auto &B : F.blocks()) {
-      auto &Insts = B->insts();
-      for (size_t Idx = 0; Idx < Insts.size(); ++Idx)
-        if (Insts[Idx]->hasResult() && Insts[Idx]->Result == V) {
-          B->eraseAt(Idx);
-          return true;
-        }
-    }
+    auto &DefInsts = WS.DefBlock[V]->insts();
+    for (size_t Idx = 0; Idx < DefInsts.size(); ++Idx)
+      if (DefInsts[Idx].get() == Def) {
+        WS.DefBlock[V]->eraseAt(Idx);
+        break;
+      }
     return true;
+  }
+
+  /// Records, in one scan, each register's definition count, its (last)
+  /// defining instruction and the blocks it appears in. Instructions live
+  /// behind stable pointers, so the entries survive the insertions of
+  /// earlier spills in the round.
+  void buildOccurrenceTable() {
+    const size_t N = F.numRegs();
+    const size_t BW = (F.numBlocks() + 63) / 64;
+    WS.NumDefs.assign(N, 0);
+    WS.DefInst.assign(N, nullptr);
+    WS.DefBlock.assign(N, nullptr);
+    WS.RegBlocks.assign(N * BW, 0);
+    for (auto &B : F.blocks()) {
+      const BlockId BI = B->id();
+      const uint64_t Bit = uint64_t(1) << (BI % 64);
+      for (const auto &IP : B->insts()) {
+        if (IP->hasResult()) {
+          ++WS.NumDefs[IP->Result];
+          WS.DefInst[IP->Result] = IP.get();
+          WS.DefBlock[IP->Result] = B.get();
+          WS.RegBlocks[IP->Result * BW + BI / 64] |= Bit;
+        }
+        for (Reg R : IP->Ops)
+          WS.RegBlocks[R * BW + BI / 64] |= Bit;
+      }
+    }
+  }
+
+  /// Calls \p Fn on every block that defined or used \p V when the round's
+  /// occurrence table was taken, in block order. The spill rewrites visit
+  /// only these: every other block holds no instruction they would touch,
+  /// so the instructions and fresh registers they create, and the order in
+  /// which they create them, are those of a walk over every block.
+  template <typename FnT> void forEachBlockOf(Reg V, FnT Fn) {
+    const size_t BW = (F.numBlocks() + 63) / 64;
+    const uint64_t *Row = &WS.RegBlocks[V * BW];
+    for (size_t WI = 0; WI != BW; ++WI)
+      for (uint64_t Bits = Row[WI]; Bits; Bits &= Bits - 1)
+        Fn(F.block(static_cast<BlockId>(WI * 64 + __builtin_ctzll(Bits))));
   }
 
   void spill(Reg V) {
@@ -375,7 +471,7 @@ private:
       ++Stats.SpillStores;
     }
 
-    for (auto &B : F.blocks()) {
+    forEachBlockOf(V, [&](BasicBlock *B) {
       auto &Insts = B->insts();
       for (size_t Idx = 0; Idx < Insts.size(); ++Idx) {
         Instruction &I = *Insts[Idx];
@@ -414,7 +510,7 @@ private:
           ++Stats.SpillStores;
         }
       }
-    }
+    });
   }
 
   // -- Final rewrite ------------------------------------------------------------
@@ -448,9 +544,10 @@ private:
   const RegAllocOptions &Opts;
   const unsigned K;
   RegAllocStats &Stats;
-  std::vector<int> Colors;
-  std::vector<bool> NoSpill;
-  std::vector<double> BlockWeight;
+  Workspace &WS;
+  InterferenceGraph &IG;
+  std::vector<int> &Colors;
+  std::vector<bool> &NoSpill;
 };
 
 } // namespace
@@ -458,17 +555,20 @@ private:
 RegAllocStats rpcc::allocateRegisters(Module &M, Function &F,
                                       const RegAllocOptions &Opts) {
   RegAllocStats Stats;
-  Allocator(M, F, Opts, Stats).run();
+  Workspace WS;
+  Allocator(M, F, Opts, Stats, WS).run();
   return Stats;
 }
 
 RegAllocStats rpcc::allocateRegisters(Module &M, const RegAllocOptions &Opts) {
   RegAllocStats Total;
+  Workspace WS; // shared by every function of the module
   for (size_t FI = 0; FI != M.numFunctions(); ++FI) {
     Function *F = M.function(static_cast<FuncId>(FI));
     if (F->isBuiltin() || F->numBlocks() == 0)
       continue;
-    RegAllocStats S = allocateRegisters(M, *F, Opts);
+    RegAllocStats S;
+    Allocator(M, *F, Opts, S, WS).run();
     Total.CoalescedCopies += S.CoalescedCopies;
     Total.SpilledRegs += S.SpilledRegs;
     Total.RematerializedRegs += S.RematerializedRegs;

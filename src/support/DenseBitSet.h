@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A dense bit set over a fixed universe [0, N). Used for the bit-vector
-/// data-flow problems (liveness, lazy code motion) and for tag universes.
+/// A dense bit set over a fixed universe [0, N). Used for PRE's bit-vector
+/// availability problem and for tag universes; also home of popcount64,
+/// which the allocator's flat bit-matrix graph counts degrees with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,29 @@
 #include <vector>
 
 namespace rpcc {
+
+/// Bits set in \p X. Branch-free and inline: without a -mpopcnt target,
+/// __builtin_popcountll is an out-of-line libgcc call, which the
+/// allocator's per-row degree counts would pay on every word.
+inline unsigned popcount64(uint64_t X) {
+  X = X - ((X >> 1) & 0x5555555555555555ULL);
+  X = (X & 0x3333333333333333ULL) + ((X >> 2) & 0x3333333333333333ULL);
+  X = (X + (X >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<unsigned>((X * 0x0101010101010101ULL) >> 56);
+}
+
+/// Bit \p I of a raw word array — the row layout DenseBitSet uses, shared
+/// with the flat bit matrices (liveness, the interference graph) that keep
+/// many rows in one vector.
+inline bool testBit(const uint64_t *Words, size_t I) {
+  return (Words[I / 64] >> (I % 64)) & 1;
+}
+inline void setBit(uint64_t *Words, size_t I) {
+  Words[I / 64] |= uint64_t(1) << (I % 64);
+}
+inline void resetBit(uint64_t *Words, size_t I) {
+  Words[I / 64] &= ~(uint64_t(1) << (I % 64));
+}
 
 /// Dense bit set with the usual set-algebra operations. All binary
 /// operations require both operands to share the same universe size.
@@ -37,17 +61,17 @@ public:
 
   bool test(size_t I) const {
     assert(I < NumBits && "bit index out of range");
-    return (Words[I / 64] >> (I % 64)) & 1;
+    return testBit(Words.data(), I);
   }
 
   void set(size_t I) {
     assert(I < NumBits && "bit index out of range");
-    Words[I / 64] |= uint64_t(1) << (I % 64);
+    setBit(Words.data(), I);
   }
 
   void reset(size_t I) {
     assert(I < NumBits && "bit index out of range");
-    Words[I / 64] &= ~(uint64_t(1) << (I % 64));
+    resetBit(Words.data(), I);
   }
 
   void clear() {
@@ -114,7 +138,7 @@ public:
   size_t count() const {
     size_t N = 0;
     for (uint64_t W : Words)
-      N += static_cast<size_t>(__builtin_popcountll(W));
+      N += popcount64(W);
     return N;
   }
 

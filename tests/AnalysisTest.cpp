@@ -218,9 +218,9 @@ TEST(LivenessTest, SimpleRange) {
   B.emitRet(C);
   recomputeCfg(*F);
   Liveness LV(*F);
-  EXPECT_TRUE(LV.liveOut(B0->id()).test(A));
-  EXPECT_TRUE(LV.liveIn(B1->id()).test(A));
-  EXPECT_FALSE(LV.liveIn(B0->id()).test(A));
+  EXPECT_TRUE(LV.isLiveOut(B0->id(), A));
+  EXPECT_TRUE(LV.isLiveIn(B1->id(), A));
+  EXPECT_FALSE(LV.isLiveIn(B0->id(), A));
 }
 
 } // namespace

@@ -48,6 +48,20 @@ TEST(DenseBitSetTest, BasicOps) {
   EXPECT_EQ(S.count(), 2u);
 }
 
+TEST(DenseBitSetTest, Popcount64MatchesBuiltin) {
+  EXPECT_EQ(popcount64(0), 0u);
+  EXPECT_EQ(popcount64(~uint64_t(0)), 64u);
+  uint64_t X = 0x9e3779b97f4a7c15ULL;
+  for (int I = 0; I != 1000; ++I) {
+    X ^= X << 13;
+    X ^= X >> 7;
+    X ^= X << 17;
+    EXPECT_EQ(popcount64(X),
+              static_cast<unsigned>(__builtin_popcountll(X)))
+        << std::hex << X;
+  }
+}
+
 TEST(DenseBitSetTest, SetAlgebra) {
   DenseBitSet A(100), B(100);
   A.set(1);
