@@ -6,12 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small recursive-descent JSON parser for *inputs* the toolchain accepts
-/// (rpserved request bodies, rploadgen's response checks). The rpjson tool
-/// keeps its own independent parser on purpose — it exists to double-check
-/// the emitters and must not share code with them — but request parsing is
-/// the opposite direction: untrusted bytes coming in, so one hardened
-/// implementation in the library is exactly right.
+/// A small recursive-descent JSON parser, the toolchain's one JSON reader:
+/// rpserved request bodies, rploadgen's response checks, and the rpjson
+/// validator all read through it. rpjson compiles JsonParse.cpp in but
+/// links nothing else of rpcc: it double-checks the emitters (support/Json,
+/// src/obs), so it shares the reader but never an emitter. Request bodies
+/// are untrusted bytes coming in, so one hardened implementation is
+/// exactly right.
 ///
 /// Depth- and size-limited: nesting beyond kMaxDepth and inputs that do not
 /// parse fail cleanly with a message, never recurse unboundedly.

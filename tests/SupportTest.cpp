@@ -2,6 +2,7 @@
 
 #include "support/DenseBitSet.h"
 #include "support/Format.h"
+#include "support/JsonParse.h"
 #include "support/StringInterner.h"
 
 #include <gtest/gtest.h>
@@ -124,6 +125,96 @@ TEST(FormatTest, TextTableAlignment) {
   EXPECT_NE(Out.find("tsp"), std::string::npos);
   // Numbers right-aligned: the shorter number is padded on the left.
   EXPECT_NE(Out.find("   51,049"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// JsonParse: the one JSON reader (rpserved requests, rploadgen, rpjson)
+//===----------------------------------------------------------------------===//
+
+/// The error parseJson reports for \p Text, or "" when it parses.
+std::string jsonError(const std::string &Text) {
+  JsonValue V;
+  std::string Err;
+  return parseJson(Text, V, Err) ? std::string() : Err;
+}
+
+bool mentions(const std::string &Err, const char *Phrase) {
+  return Err.find(Phrase) != std::string::npos;
+}
+
+TEST(JsonParseTest, RejectsEscapedNul) {
+  // A \u0000 escape would decode to an embedded NUL that truncates C-string
+  // uses downstream (the /suite path-traversal probe); it is a parse error.
+  JsonValue V;
+  std::string Err;
+  EXPECT_FALSE(parseJson("{\"name\":\"a\\u0000b\"}", V, Err));
+  EXPECT_NE(Err.find("u0000"), std::string::npos);
+  // Other BMP escapes still decode.
+  ASSERT_TRUE(parseJson("{\"name\":\"a\\u0041b\"}", V, Err)) << Err;
+  EXPECT_EQ(V.strOr("name", "", Err), "aAb");
+}
+
+TEST(JsonParseTest, NestingStopsAtMaxDepth) {
+  // The reader's kMaxDepth: a value inside 64 containers parses, one
+  // container more is refused, and so is a far deeper input, without
+  // recursing into it.
+  const int MaxDepth = 64;
+  auto Arrays = [](int N) {
+    return std::string(N, '[') + "1" + std::string(N, ']');
+  };
+  auto Objects = [](int N) {
+    std::string S;
+    for (int I = 0; I != N; ++I)
+      S += "{\"k\":";
+    return S + "1" + std::string(N, '}');
+  };
+  EXPECT_EQ(jsonError(Arrays(MaxDepth)), "");
+  EXPECT_EQ(jsonError(Objects(MaxDepth)), "");
+  EXPECT_TRUE(mentions(jsonError(Arrays(MaxDepth + 1)), "nesting too deep"));
+  EXPECT_TRUE(mentions(jsonError(Objects(MaxDepth + 1)), "nesting too deep"));
+  EXPECT_TRUE(mentions(jsonError(Arrays(200000)), "nesting too deep"));
+}
+
+TEST(JsonParseTest, RejectsTrailingGarbage) {
+  EXPECT_EQ(jsonError("{\"a\":1} \n\t"), "");
+  EXPECT_TRUE(mentions(jsonError("{\"a\":1} x"), "trailing garbage"));
+  EXPECT_TRUE(mentions(jsonError("1 2"), "trailing garbage"));
+}
+
+TEST(JsonParseTest, RejectsUnterminatedValues) {
+  EXPECT_TRUE(mentions(jsonError("\"abc"), "unterminated string"));
+  EXPECT_TRUE(mentions(jsonError("[1, 2"), "unterminated array"));
+  EXPECT_TRUE(mentions(jsonError("{\"a\": 1"), "unterminated object"));
+}
+
+TEST(JsonParseTest, RejectsBadStringContents) {
+  EXPECT_TRUE(mentions(jsonError("\"a\\qb\""), "bad escape character"));
+  EXPECT_TRUE(mentions(jsonError("\"\\u12G4\""), "bad hex digit"));
+  EXPECT_TRUE(mentions(jsonError("\"a\tb\""), "raw control character"));
+}
+
+TEST(JsonParseTest, RejectsMalformedNumbers) {
+  EXPECT_TRUE(mentions(jsonError("-"), "malformed number"));
+  EXPECT_TRUE(mentions(jsonError(".5"), "malformed number"));
+  EXPECT_EQ(jsonError("-0.5e+3"), "");
+}
+
+TEST(JsonParseTest, DecodesBmpEscapesAsUtf8) {
+  JsonValue V;
+  std::string Err;
+  ASSERT_TRUE(parseJson("[\"\\u00e9\", \"\\u20AC\"]", V, Err)) << Err;
+  ASSERT_EQ(V.Items.size(), 2u);
+  EXPECT_EQ(V.Items[0].Str, "\xC3\xA9");     // é
+  EXPECT_EQ(V.Items[1].Str, "\xE2\x82\xAC"); // €
+}
+
+TEST(JsonParseTest, FieldReturnsFirstOfDuplicateKeys) {
+  JsonValue V;
+  std::string Err;
+  ASSERT_TRUE(parseJson("{\"a\":1,\"a\":2}", V, Err)) << Err;
+  EXPECT_EQ(V.Members.size(), 2u);
+  ASSERT_NE(V.field("a"), nullptr);
+  EXPECT_EQ(V.field("a")->Num, 1);
 }
 
 } // namespace

@@ -3,9 +3,11 @@
 // Part of rpcc, a reproduction of "Register Promotion in C Programs"
 // (Cooper & Lu, PLDI 1997). MIT license; see LICENSE.
 //
-// Schema-checks the JSON the toolchain emits, with no external
-// dependencies: a hand-rolled recursive-descent JSON parser plus one
-// checker per format. Wired into ctest so a malformed emitter fails the
+// Schema-checks the JSON the toolchain emits: files are read through the
+// library's one JSON reader (support/JsonParse), and each format is a table
+// of per-shape fields plus the cross-field rules a table cannot say. The
+// tool links nothing else from rpcc — it shares no code with the emitters
+// it double-checks. Wired into ctest so a malformed emitter fails the
 // build, not a downstream dashboard.
 //
 //   rpjson remarks FILE    JSON-lines remark stream (--remarks-json)
@@ -35,13 +37,12 @@
 //                          serving benchmark report (bench/served_throughput
 //                          --json): scenario discipline, per-row rate and
 //                          percentile sanity, headline speedup consistency
-//   rpjson served FILE     rpserved response envelopes, one JSON object per
-//                          line: status vocabulary, key format, cached
-//                          provenance, error presence on failures
 //
 // Exit codes: 0 valid, 1 invalid or unreadable input, 2 usage error.
 //
 //===----------------------------------------------------------------------===//
+
+#include "support/JsonParse.h"
 
 #include <algorithm>
 #include <cmath>
@@ -50,276 +51,55 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace {
 
+using rpcc::JsonValue;
+
+constexpr JsonValue::Kind Str = JsonValue::String, Num = JsonValue::Number,
+                          Arr = JsonValue::Array, Obj = JsonValue::Object;
+
 //===----------------------------------------------------------------------===//
-// Minimal JSON value + parser
+// Shapes and the checker
 //===----------------------------------------------------------------------===//
 
-struct JValue {
-  enum Kind { Null, Bool, Number, String, Array, Object } K = Null;
-  bool B = false;
-  double Num = 0;
-  std::string Str;
-  std::vector<JValue> Items; ///< Array elements
-  std::vector<std::pair<std::string, JValue>> Members; ///< Object members
-
-  const JValue *field(const std::string &Name) const {
-    for (const auto &M : Members)
-      if (M.first == Name)
-        return &M.second;
-    return nullptr;
-  }
+/// One key of an object shape: its JSON kind, for strings an optional
+/// closed vocabulary (empty means any value), for numbers an optional
+/// integral lower bound, and whether the key may be absent.
+struct Field {
+  const char *Key;
+  JsonValue::Kind K;
+  std::vector<const char *> Allowed = {};
+  double Min = -HUGE_VAL;
+  bool Optional = false;
 };
+Field str(const char *Key, std::vector<const char *> Allowed = {}) {
+  return {Key, Str, std::move(Allowed)};
+}
+Field num(const char *Key, double Min = -HUGE_VAL) {
+  return {Key, Num, {}, Min};
+}
+Field arr(const char *Key) { return {Key, Arr}; }
+Field obj(const char *Key) { return {Key, Obj}; }
+Field optional(Field F) {
+  F.Optional = true;
+  return F;
+}
+using Shape = std::vector<Field>;
 
-class JParser {
-public:
-  JParser(const std::string &Text) : S(Text) {}
+/// The field \p Key of \p O when it is present with kind \p K, else null:
+/// what cross-field rules read once the shape has been reported on.
+const JsonValue *get(const JsonValue &O, const char *Key, JsonValue::Kind K) {
+  const JsonValue *F = O.field(Key);
+  return F && F->K == K ? F : nullptr;
+}
 
-  /// Parses one JSON value. Returns false with Error set on malformed
-  /// input. \p Pos advances past the value and any trailing whitespace.
-  bool parse(JValue &Out) {
-    skipWs();
-    if (!value(Out))
-      return false;
-    skipWs();
-    return true;
-  }
-
-  bool atEnd() const { return Pos == S.size(); }
-  std::string Error;
-
-private:
-  const std::string &S;
-  size_t Pos = 0;
-
-  bool fail(const std::string &Why) {
-    std::ostringstream OS;
-    OS << Why << " at offset " << Pos;
-    Error = OS.str();
-    return false;
-  }
-
-  void skipWs() {
-    while (Pos < S.size() && (S[Pos] == ' ' || S[Pos] == '\t' ||
-                              S[Pos] == '\n' || S[Pos] == '\r'))
-      ++Pos;
-  }
-
-  bool lit(const char *Word) {
-    size_t N = std::strlen(Word);
-    if (S.compare(Pos, N, Word) != 0)
-      return fail(std::string("expected '") + Word + "'");
-    Pos += N;
-    return true;
-  }
-
-  bool value(JValue &Out) {
-    if (Pos >= S.size())
-      return fail("unexpected end of input");
-    switch (S[Pos]) {
-    case '{':
-      return object(Out);
-    case '[':
-      return array(Out);
-    case '"':
-      Out.K = JValue::String;
-      return string(Out.Str);
-    case 't':
-      Out.K = JValue::Bool;
-      Out.B = true;
-      return lit("true");
-    case 'f':
-      Out.K = JValue::Bool;
-      Out.B = false;
-      return lit("false");
-    case 'n':
-      Out.K = JValue::Null;
-      return lit("null");
-    default:
-      return number(Out);
-    }
-  }
-
-  bool object(JValue &Out) {
-    Out.K = JValue::Object;
-    ++Pos; // '{'
-    skipWs();
-    if (Pos < S.size() && S[Pos] == '}') {
-      ++Pos;
-      return true;
-    }
-    for (;;) {
-      skipWs();
-      std::string Key;
-      if (Pos >= S.size() || S[Pos] != '"')
-        return fail("expected object key");
-      if (!string(Key))
-        return false;
-      skipWs();
-      if (Pos >= S.size() || S[Pos] != ':')
-        return fail("expected ':'");
-      ++Pos;
-      skipWs();
-      JValue V;
-      if (!value(V))
-        return false;
-      Out.Members.emplace_back(std::move(Key), std::move(V));
-      skipWs();
-      if (Pos >= S.size())
-        return fail("unterminated object");
-      if (S[Pos] == ',') {
-        ++Pos;
-        continue;
-      }
-      if (S[Pos] == '}') {
-        ++Pos;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool array(JValue &Out) {
-    Out.K = JValue::Array;
-    ++Pos; // '['
-    skipWs();
-    if (Pos < S.size() && S[Pos] == ']') {
-      ++Pos;
-      return true;
-    }
-    for (;;) {
-      skipWs();
-      JValue V;
-      if (!value(V))
-        return false;
-      Out.Items.push_back(std::move(V));
-      skipWs();
-      if (Pos >= S.size())
-        return fail("unterminated array");
-      if (S[Pos] == ',') {
-        ++Pos;
-        continue;
-      }
-      if (S[Pos] == ']') {
-        ++Pos;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  bool string(std::string &Out) {
-    ++Pos; // opening quote
-    Out.clear();
-    while (Pos < S.size()) {
-      char C = S[Pos];
-      if (C == '"') {
-        ++Pos;
-        return true;
-      }
-      if (static_cast<unsigned char>(C) < 0x20)
-        return fail("raw control character in string");
-      if (C != '\\') {
-        Out += C;
-        ++Pos;
-        continue;
-      }
-      if (++Pos >= S.size())
-        return fail("unterminated escape");
-      char E = S[Pos++];
-      switch (E) {
-      case '"':
-      case '\\':
-      case '/':
-        Out += E;
-        break;
-      case 'b':
-        Out += '\b';
-        break;
-      case 'f':
-        Out += '\f';
-        break;
-      case 'n':
-        Out += '\n';
-        break;
-      case 'r':
-        Out += '\r';
-        break;
-      case 't':
-        Out += '\t';
-        break;
-      case 'u': {
-        if (Pos + 4 > S.size())
-          return fail("truncated \\u escape");
-        unsigned V = 0;
-        for (int I = 0; I != 4; ++I) {
-          char H = S[Pos++];
-          V <<= 4;
-          if (H >= '0' && H <= '9')
-            V |= static_cast<unsigned>(H - '0');
-          else if (H >= 'a' && H <= 'f')
-            V |= static_cast<unsigned>(H - 'a' + 10);
-          else if (H >= 'A' && H <= 'F')
-            V |= static_cast<unsigned>(H - 'A' + 10);
-          else
-            return fail("bad hex digit in \\u escape");
-        }
-        // The emitters only escape control characters; decode the BMP
-        // code point as UTF-8.
-        if (V < 0x80) {
-          Out += static_cast<char>(V);
-        } else if (V < 0x800) {
-          Out += static_cast<char>(0xC0 | (V >> 6));
-          Out += static_cast<char>(0x80 | (V & 0x3F));
-        } else {
-          Out += static_cast<char>(0xE0 | (V >> 12));
-          Out += static_cast<char>(0x80 | ((V >> 6) & 0x3F));
-          Out += static_cast<char>(0x80 | (V & 0x3F));
-        }
-        break;
-      }
-      default:
-        return fail("bad escape character");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool number(JValue &Out) {
-    size_t Start = Pos;
-    if (Pos < S.size() && S[Pos] == '-')
-      ++Pos;
-    while (Pos < S.size() && S[Pos] >= '0' && S[Pos] <= '9')
-      ++Pos;
-    if (Pos < S.size() && S[Pos] == '.') {
-      ++Pos;
-      while (Pos < S.size() && S[Pos] >= '0' && S[Pos] <= '9')
-        ++Pos;
-    }
-    if (Pos < S.size() && (S[Pos] == 'e' || S[Pos] == 'E')) {
-      ++Pos;
-      if (Pos < S.size() && (S[Pos] == '+' || S[Pos] == '-'))
-        ++Pos;
-      while (Pos < S.size() && S[Pos] >= '0' && S[Pos] <= '9')
-        ++Pos;
-    }
-    if (Pos == Start || (Pos == Start + 1 && S[Start] == '-'))
-      return fail("malformed number");
-    Out.K = JValue::Number;
-    Out.Num = std::strtod(S.c_str() + Start, nullptr);
-    return true;
-  }
+struct NoRules {
+  void operator()(const JsonValue &, const std::string &, size_t) const {}
 };
-
-//===----------------------------------------------------------------------===//
-// Checkers
-//===----------------------------------------------------------------------===//
 
 /// Collects schema violations; the first few are reported with context.
 struct Checker {
@@ -329,68 +109,73 @@ struct Checker {
     Problems.push_back(Where + ": " + What);
   }
 
-  bool need(const JValue &O, const std::string &Where, const char *Key,
-            JValue::Kind K, const JValue **Out = nullptr) {
-    const JValue *F = O.field(Key);
-    if (!F) {
-      problem(Where, std::string("missing key '") + Key + "'");
-      return false;
+  /// Reports every key of \p S that \p O lacks, holds with the wrong kind,
+  /// or holds with a value outside the key's vocabulary or bound.
+  void checkFields(const JsonValue &O, const std::string &Where,
+                   const Shape &S) {
+    for (const Field &F : S) {
+      const JsonValue *V = O.field(F.Key);
+      std::string Key = F.Key;
+      if (!V) {
+        if (!F.Optional)
+          problem(Where, "missing key '" + Key + "'");
+      } else if (V->K != F.K) {
+        problem(Where, "key '" + Key + "' has wrong type");
+      } else if (!F.Allowed.empty() &&
+                 std::none_of(F.Allowed.begin(), F.Allowed.end(),
+                              [&](const char *A) { return V->Str == A; })) {
+        problem(Where, "key '" + Key + "' has unknown value '" + V->Str + "'");
+      } else if (V->K == Num && V->Num < F.Min) {
+        problem(Where, F.Min == 0 ? Key + " is negative"
+                                  : Key + " must be at least " +
+                                        std::to_string(
+                                            static_cast<long long>(F.Min)));
+      }
     }
-    if (F->K != K) {
-      problem(Where, std::string("key '") + Key + "' has wrong type");
-      return false;
-    }
-    if (Out)
-      *Out = F;
-    return true;
   }
 
-  bool oneOf(const std::string &Where, const char *Key,
-             const std::string &Val, const std::vector<const char *> &Set) {
-    for (const char *S : Set)
-      if (Val == S)
-        return true;
-    problem(Where, std::string("key '") + Key + "' has unknown value '" +
-                       Val + "'");
-    return false;
+  /// Checks each element of array \p A (which may be null) against \p S
+  /// and then its cross-field \p Rules(Element, Where, Index); elements
+  /// that are not objects are reported instead. A prefix ending in a space
+  /// names elements by bare index ("metric 3"), any other by subscript
+  /// ("counts[3]").
+  template <typename Fn = NoRules>
+  void forEachObject(const JsonValue *A, const std::string &Prefix,
+                     const Shape &S, Fn Rules = {}) {
+    if (!A)
+      return;
+    for (size_t I = 0; I != A->Items.size(); ++I) {
+      std::string Where = Prefix.back() == ' '
+                              ? Prefix + std::to_string(I)
+                              : Prefix + "[" + std::to_string(I) + "]";
+      if (A->Items[I].K != Obj) {
+        problem(Where, "not an object");
+        continue;
+      }
+      checkFields(A->Items[I], Where, S);
+      Rules(A->Items[I], Where, I);
+    }
   }
 };
 
-const std::vector<const char *> &remarkKinds() {
-  static const std::vector<const char *> Kinds = {
-      "promoted", "missed", "hoisted", "residual", "note"};
-  return Kinds;
-}
-
-const std::vector<const char *> &remarkReasons() {
-  static const std::vector<const char *> Reasons = {
-      "none",           "call-modref",       "aliased-pointer-op",
-      "reg-pressure",   "no-landing-pad",    "loop-variant-address",
-      "group-conflict", "multi-tag-pointer", "tag-modified",
-      "multiple-defs",  "spill-slot",        "promotion-off",
-      "late-promotable", "heap-or-unknown"};
-  return Reasons;
-}
-
-void checkRemarkObject(const JValue &O, const std::string &Where,
-                       Checker &C) {
-  const JValue *F = nullptr;
-  C.need(O, Where, "pass", JValue::String);
-  if (C.need(O, Where, "kind", JValue::String, &F))
-    C.oneOf(Where, "kind", F->Str, remarkKinds());
-  if (C.need(O, Where, "reason", JValue::String, &F))
-    C.oneOf(Where, "reason", F->Str, remarkReasons());
-  C.need(O, Where, "function", JValue::String);
-  C.need(O, Where, "loop", JValue::String);
-  C.need(O, Where, "depth", JValue::Number);
-  C.need(O, Where, "tag", JValue::String);
-  C.need(O, Where, "message", JValue::String);
+/// Prints the first problems and returns the exit code: 1 if there are
+/// any, else 0 after an "ok" line counting \p N checked objects.
+int finish(const Checker &C, const char *What, size_t N) {
+  for (size_t I = 0; I != C.Problems.size() && I != 10; ++I)
+    std::fprintf(stderr, "rpjson: %s\n", C.Problems[I].c_str());
+  if (C.Problems.size() > 10)
+    std::fprintf(stderr, "rpjson: ... and %zu more problem(s)\n",
+                 C.Problems.size() - 10);
+  if (!C.Problems.empty())
+    return 1;
+  std::fprintf(stderr, "rpjson: %s ok (%zu object(s))\n", What, N);
+  return 0;
 }
 
 /// Validates a JSON-lines file: every non-empty line one object checked by
 /// \p CheckOne. \p What names the format in diagnostics.
 int checkJsonLines(const std::string &Text, const char *What,
-                   void (*CheckOne)(const JValue &, const std::string &,
+                   void (*CheckOne)(const JsonValue &, const std::string &,
                                     Checker &)) {
   Checker C;
   size_t LineNo = 0, Objects = 0, Pos = 0;
@@ -403,16 +188,14 @@ int checkJsonLines(const std::string &Text, const char *What,
     ++LineNo;
     if (Line.find_first_not_of(" \t\r") == std::string::npos)
       continue;
-    std::ostringstream WS;
-    WS << What << " line " << LineNo;
-    std::string Where = WS.str();
-    JParser P(Line);
-    JValue V;
-    if (!P.parse(V) || !P.atEnd()) {
-      C.problem(Where, P.Error.empty() ? "trailing garbage" : P.Error);
+    std::string Where = std::string(What) + " line " + std::to_string(LineNo);
+    JsonValue V;
+    std::string Error;
+    if (!rpcc::parseJson(Line, V, Error)) {
+      C.problem(Where, Error);
       continue;
     }
-    if (V.K != JValue::Object) {
+    if (V.K != Obj) {
       C.problem(Where, "line is not a JSON object");
       continue;
     }
@@ -421,81 +204,17 @@ int checkJsonLines(const std::string &Text, const char *What,
   }
   if (Objects == 0)
     C.Problems.push_back(std::string(What) + ": no objects found");
-  for (size_t I = 0; I != C.Problems.size() && I != 10; ++I)
-    std::fprintf(stderr, "rpjson: %s\n", C.Problems[I].c_str());
-  if (C.Problems.size() > 10)
-    std::fprintf(stderr, "rpjson: ... and %zu more problem(s)\n",
-                 C.Problems.size() - 10);
-  if (!C.Problems.empty())
-    return 1;
-  std::fprintf(stderr, "rpjson: %s ok (%zu object(s))\n", What, Objects);
-  return 0;
+  return finish(C, What, Objects);
 }
 
-void checkProfileObject(const JValue &O, const std::string &Where,
-                        Checker &C) {
-  const JValue *Loops = nullptr, *Counts = nullptr;
-  const JValue *TotalLoads = nullptr, *TotalStores = nullptr;
-  C.need(O, Where, "loops", JValue::Array, &Loops);
-  C.need(O, Where, "counts", JValue::Array, &Counts);
-  C.need(O, Where, "total_loads", JValue::Number, &TotalLoads);
-  C.need(O, Where, "total_stores", JValue::Number, &TotalStores);
-  if (Loops)
-    for (size_t I = 0; I != Loops->Items.size(); ++I) {
-      std::ostringstream WS;
-      WS << Where << " loops[" << I << "]";
-      const JValue &L = Loops->Items[I];
-      if (L.K != JValue::Object) {
-        C.problem(WS.str(), "not an object");
-        continue;
-      }
-      C.need(L, WS.str(), "function", JValue::String);
-      C.need(L, WS.str(), "header", JValue::String);
-      C.need(L, WS.str(), "depth", JValue::Number);
-      const JValue *Parent = nullptr;
-      if (C.need(L, WS.str(), "parent", JValue::Number, &Parent) &&
-          Parent->Num >= static_cast<double>(I))
-        C.problem(WS.str(), "parent must precede the loop (preorder)");
-    }
-  double Loads = 0, Stores = 0;
-  if (Counts)
-    for (size_t I = 0; I != Counts->Items.size(); ++I) {
-      std::ostringstream WS;
-      WS << Where << " counts[" << I << "]";
-      const JValue &E = Counts->Items[I];
-      if (E.K != JValue::Object) {
-        C.problem(WS.str(), "not an object");
-        continue;
-      }
-      C.need(E, WS.str(), "function", JValue::String);
-      C.need(E, WS.str(), "tag", JValue::String);
-      C.need(E, WS.str(), "kind", JValue::String);
-      const JValue *F = nullptr;
-      if (C.need(E, WS.str(), "loop", JValue::Number, &F) && Loops &&
-          F->Num >= static_cast<double>(Loops->Items.size()))
-        C.problem(WS.str(), "loop index out of range");
-      if (C.need(E, WS.str(), "loads", JValue::Number, &F))
-        Loads += F->Num;
-      if (C.need(E, WS.str(), "stores", JValue::Number, &F))
-        Stores += F->Num;
-    }
-  // The profiler's core invariant: per-tag counts partition the totals.
-  if (TotalLoads && Loads != TotalLoads->Num)
-    C.problem(Where, "counts' loads do not sum to total_loads");
-  if (TotalStores && Stores != TotalStores->Num)
-    C.problem(Where, "counts' stores do not sum to total_stores");
-}
-
-/// Reads and parses a whole-file JSON object (trace, timing).
-int parseWholeFile(const std::string &Text, const char *What, JValue &V) {
-  JParser P(Text);
-  if (!P.parse(V) || !P.atEnd()) {
-    std::fprintf(stderr, "rpjson: %s: %s\n", What,
-                 P.Error.empty() ? "trailing garbage after value"
-                                 : P.Error.c_str());
+/// Parses a whole-file JSON object (trace, timing, metrics, bench).
+int parseWholeFile(const std::string &Text, const char *What, JsonValue &V) {
+  std::string Error;
+  if (!rpcc::parseJson(Text, V, Error)) {
+    std::fprintf(stderr, "rpjson: %s: %s\n", What, Error.c_str());
     return 1;
   }
-  if (V.K != JValue::Object) {
+  if (V.K != Obj) {
     std::fprintf(stderr, "rpjson: %s: top-level value is not an object\n",
                  What);
     return 1;
@@ -503,64 +222,107 @@ int parseWholeFile(const std::string &Text, const char *What, JValue &V) {
   return 0;
 }
 
-int finish(Checker &C, const char *What, size_t N) {
-  for (size_t I = 0; I != C.Problems.size() && I != 10; ++I)
-    std::fprintf(stderr, "rpjson: %s\n", C.Problems[I].c_str());
-  if (C.Problems.size() > 10)
-    std::fprintf(stderr, "rpjson: ... and %zu more problem(s)\n",
-                 C.Problems.size() - 10);
-  if (!C.Problems.empty())
-    return 1;
-  std::fprintf(stderr, "rpjson: %s ok (%zu object(s))\n", What, N);
-  return 0;
+//===----------------------------------------------------------------------===//
+// Remarks and tag profiles (JSON lines)
+//===----------------------------------------------------------------------===//
+
+const Shape RemarkShape = {
+    str("pass"),
+    str("kind", {"promoted", "missed", "hoisted", "residual", "note"}),
+    str("reason",
+        {"none", "call-modref", "aliased-pointer-op", "reg-pressure",
+         "no-landing-pad", "loop-variant-address", "group-conflict",
+         "multi-tag-pointer", "tag-modified", "multiple-defs", "spill-slot",
+         "promotion-off", "late-promotable", "heap-or-unknown"}),
+    str("function"),
+    str("loop"),
+    num("depth"),
+    str("tag"),
+    str("message")};
+
+void checkRemarkObject(const JsonValue &O, const std::string &Where,
+                       Checker &C) {
+  C.checkFields(O, Where, RemarkShape);
 }
 
+const Shape ProfileShape = {arr("loops"), arr("counts"), num("total_loads"),
+                            num("total_stores")};
+const Shape ProfileLoopShape = {str("function"), str("header"), num("depth"),
+                                num("parent")};
+const Shape ProfileCountShape = {str("function"), str("tag"),   str("kind"),
+                                 num("loop"),     num("loads"), num("stores")};
+
+void checkProfileObject(const JsonValue &O, const std::string &Where,
+                        Checker &C) {
+  C.checkFields(O, Where, ProfileShape);
+  const JsonValue *Loops = get(O, "loops", Arr);
+  C.forEachObject(Loops, Where + " loops", ProfileLoopShape,
+                  [&](const JsonValue &L, const std::string &At, size_t I) {
+                    const JsonValue *Parent = get(L, "parent", Num);
+                    if (Parent && Parent->Num >= static_cast<double>(I))
+                      C.problem(At, "parent must precede the loop (preorder)");
+                  });
+  double Loads = 0, Stores = 0;
+  C.forEachObject(
+      get(O, "counts", Arr), Where + " counts", ProfileCountShape,
+      [&](const JsonValue &E, const std::string &At, size_t) {
+        const JsonValue *Loop = get(E, "loop", Num);
+        if (Loop && Loops &&
+            Loop->Num >= static_cast<double>(Loops->Items.size()))
+          C.problem(At, "loop index out of range");
+        if (const JsonValue *F = get(E, "loads", Num))
+          Loads += F->Num;
+        if (const JsonValue *F = get(E, "stores", Num))
+          Stores += F->Num;
+      });
+  // The profiler's core invariant: per-tag counts partition the totals.
+  const JsonValue *TotalLoads = get(O, "total_loads", Num);
+  const JsonValue *TotalStores = get(O, "total_stores", Num);
+  if (TotalLoads && Loads != TotalLoads->Num)
+    C.problem(Where, "counts' loads do not sum to total_loads");
+  if (TotalStores && Stores != TotalStores->Num)
+    C.problem(Where, "counts' stores do not sum to total_stores");
+}
+
+//===----------------------------------------------------------------------===//
+// Traces and timing reports
+//===----------------------------------------------------------------------===//
+
+const Shape TraceShape = {arr("traceEvents"), str("displayTimeUnit")};
+const Shape TraceEventShape = {str("name"), str("cat"), str("ph"), num("ts"),
+                               num("dur"),  num("pid"), num("tid")};
+
 int checkTrace(const std::string &Text, bool Canon) {
-  JValue V;
+  JsonValue V;
   if (int Rc = parseWholeFile(Text, "trace", V))
     return Rc;
   Checker C;
-  const JValue *Events = nullptr;
-  C.need(V, "trace", "traceEvents", JValue::Array, &Events);
-  C.need(V, "trace", "displayTimeUnit", JValue::String);
+  C.checkFields(V, "trace", TraceShape);
+  const JsonValue *Events = get(V, "traceEvents", Arr);
   std::vector<std::string> CanonLines;
-  if (Events)
-    for (size_t I = 0; I != Events->Items.size(); ++I) {
-      std::ostringstream WS;
-      WS << "trace event " << I;
-      const JValue &E = Events->Items[I];
-      if (E.K != JValue::Object) {
-        C.problem(WS.str(), "not an object");
-        continue;
-      }
-      const JValue *Name = nullptr, *Cat = nullptr, *Ph = nullptr;
-      const JValue *Args = nullptr;
-      C.need(E, WS.str(), "name", JValue::String, &Name);
-      C.need(E, WS.str(), "cat", JValue::String, &Cat);
-      if (C.need(E, WS.str(), "ph", JValue::String, &Ph) &&
-          Ph->Str != "X")
-        C.problem(WS.str(), "ph must be \"X\" (complete span)");
-      C.need(E, WS.str(), "ts", JValue::Number);
-      C.need(E, WS.str(), "dur", JValue::Number);
-      C.need(E, WS.str(), "pid", JValue::Number);
-      C.need(E, WS.str(), "tid", JValue::Number);
-      std::string Flat;
-      if ((Args = E.field("args"))) {
-        if (Args->K != JValue::Object) {
-          C.problem(WS.str(), "args is not an object");
-        } else {
-          for (const auto &M : Args->Members) {
-            if (M.second.K != JValue::String)
-              C.problem(WS.str(),
-                        "args value for '" + M.first + "' is not a string");
-            else
-              Flat += "\x1f" + M.first + "=" + M.second.Str;
-          }
+  C.forEachObject(
+      Events, "trace event ", TraceEventShape,
+      [&](const JsonValue &E, const std::string &At, size_t) {
+        const JsonValue *Ph = get(E, "ph", Str);
+        if (Ph && Ph->Str != "X")
+          C.problem(At, "ph must be \"X\" (complete span)");
+        std::string Flat;
+        if (const JsonValue *Args = E.field("args")) {
+          if (Args->K != Obj)
+            C.problem(At, "args is not an object");
+          else
+            for (const auto &M : Args->Members) {
+              if (M.second.K != Str)
+                C.problem(At,
+                          "args value for '" + M.first + "' is not a string");
+              else
+                Flat += "\x1f" + M.first + "=" + M.second.Str;
+            }
         }
-      }
-      if (Canon && Name && Cat)
-        CanonLines.push_back(Cat->Str + "\x1e" + Name->Str + Flat);
-    }
+        const JsonValue *Name = get(E, "name", Str), *Cat = get(E, "cat", Str);
+        if (Canon && Name && Cat)
+          CanonLines.push_back(Cat->Str + "\x1e" + Name->Str + Flat);
+      });
   if (Canon && C.Problems.empty()) {
     // The deterministic skeleton: wall-clock fields dropped, events
     // sorted. Two runs of the same workload canonicalize identically no
@@ -577,67 +339,30 @@ int checkTrace(const std::string &Text, bool Canon) {
   return finish(C, "trace", Events ? Events->Items.size() : 0);
 }
 
+// "jobs" is optional: present only for sandboxed runs (a JobLog rendering),
+// absent — not empty — otherwise.
+const Shape TimingShape = {
+    num("compiles"),     num("compile_ms"),   num("interp_ms"),
+    num("interp_steps"), num("frontend_ms"),  num("suffix_ms"),
+    num("cache_hits"),   num("cache_misses"), num("pool_items"),
+    num("pool_busy_ms"), str("engine"),       optional(arr("jobs")),
+    arr("passes")};
+const Shape TimingJobShape = {
+    str("name"),
+    str("status", {"ok", "trap", "timeout", "oom", "crash", "internal-error"}),
+    num("signal"), num("wall_ms"), num("attempts", 1)};
+const Shape TimingPassShape = {str("name"), num("calls"), num("ms"),
+                               num("ops_before"), num("ops_after")};
+
 int checkTiming(const std::string &Text) {
-  JValue V;
+  JsonValue V;
   if (int Rc = parseWholeFile(Text, "timing", V))
     return Rc;
   Checker C;
-  C.need(V, "timing", "compiles", JValue::Number);
-  C.need(V, "timing", "compile_ms", JValue::Number);
-  C.need(V, "timing", "interp_ms", JValue::Number);
-  C.need(V, "timing", "interp_steps", JValue::Number);
-  C.need(V, "timing", "frontend_ms", JValue::Number);
-  C.need(V, "timing", "suffix_ms", JValue::Number);
-  C.need(V, "timing", "cache_hits", JValue::Number);
-  C.need(V, "timing", "cache_misses", JValue::Number);
-  C.need(V, "timing", "pool_items", JValue::Number);
-  C.need(V, "timing", "pool_busy_ms", JValue::Number);
-  C.need(V, "timing", "engine", JValue::String);
-  // "jobs" is optional: present only for sandboxed runs (a JobLog
-  // rendering), absent — not empty — otherwise.
-  if (const JValue *Jobs = V.field("jobs")) {
-    if (Jobs->K != JValue::Array) {
-      C.problem("timing", "key 'jobs' has wrong type");
-    } else {
-      static const std::vector<const char *> Statuses = {
-          "ok", "trap", "timeout", "oom", "crash", "internal-error"};
-      for (size_t I = 0; I != Jobs->Items.size(); ++I) {
-        std::ostringstream WS;
-        WS << "timing jobs[" << I << "]";
-        const JValue &J = Jobs->Items[I];
-        if (J.K != JValue::Object) {
-          C.problem(WS.str(), "not an object");
-          continue;
-        }
-        C.need(J, WS.str(), "name", JValue::String);
-        const JValue *St = nullptr;
-        if (C.need(J, WS.str(), "status", JValue::String, &St))
-          C.oneOf(WS.str(), "status", St->Str, Statuses);
-        C.need(J, WS.str(), "signal", JValue::Number);
-        C.need(J, WS.str(), "wall_ms", JValue::Number);
-        const JValue *At = nullptr;
-        if (C.need(J, WS.str(), "attempts", JValue::Number, &At) &&
-            At->Num < 1)
-          C.problem(WS.str(), "attempts must be at least 1");
-      }
-    }
-  }
-  const JValue *Passes = nullptr;
-  if (C.need(V, "timing", "passes", JValue::Array, &Passes))
-    for (size_t I = 0; I != Passes->Items.size(); ++I) {
-      std::ostringstream WS;
-      WS << "timing passes[" << I << "]";
-      const JValue &P = Passes->Items[I];
-      if (P.K != JValue::Object) {
-        C.problem(WS.str(), "not an object");
-        continue;
-      }
-      C.need(P, WS.str(), "name", JValue::String);
-      C.need(P, WS.str(), "calls", JValue::Number);
-      C.need(P, WS.str(), "ms", JValue::Number);
-      C.need(P, WS.str(), "ops_before", JValue::Number);
-      C.need(P, WS.str(), "ops_after", JValue::Number);
-    }
+  C.checkFields(V, "timing", TimingShape);
+  C.forEachObject(get(V, "jobs", Arr), "timing jobs", TimingJobShape);
+  const JsonValue *Passes = get(V, "passes", Arr);
+  C.forEachObject(Passes, "timing passes", TimingPassShape);
   return finish(C, "timing", Passes ? Passes->Items.size() : 0);
 }
 
@@ -659,7 +384,7 @@ bool validMetricName(const std::string &N) {
 /// Renders a parsed JSON number the way the emitter wrote it: integers
 /// without a decimal point (every registry value is a uint64 that survives
 /// the double round-trip), anything else via %g.
-std::string renderNum(const JValue *V) {
+std::string renderNum(const JsonValue *V) {
   if (!V)
     return "?";
   long long N = static_cast<long long>(V->Num);
@@ -670,125 +395,114 @@ std::string renderNum(const JValue *V) {
   return Buf;
 }
 
+const Shape MetricsShape = {str("schema"), num("wall_ms"), arr("metrics")};
+const Shape MetricShape = {
+    str("name"),
+    obj("labels"),
+    str("kind", {"counter", "gauge", "histogram"}),
+    str("stability", {"stable", "count-stable", "volatile"}),
+    str("unit"),
+    str("help")};
+const Shape HistogramShape = {num("count"), num("sum"), arr("buckets")};
+const Shape ScalarShape = {num("value")};
+
 int checkMetrics(const std::string &Text, bool Canon) {
-  JValue V;
+  JsonValue V;
   if (int Rc = parseWholeFile(Text, "metrics", V))
     return Rc;
   Checker C;
-  const JValue *F = nullptr;
-  if (C.need(V, "metrics", "schema", JValue::String, &F) &&
-      F->Str != "metrics")
+  C.checkFields(V, "metrics", MetricsShape);
+  if (const JsonValue *Schema = get(V, "schema", Str);
+      Schema && Schema->Str != "metrics")
     C.problem("metrics", "schema must be \"metrics\"");
-  C.need(V, "metrics", "wall_ms", JValue::Number);
-  const JValue *List = nullptr;
-  C.need(V, "metrics", "metrics", JValue::Array, &List);
+  const JsonValue *List = get(V, "metrics", Arr);
   std::string PrevKey;
   std::vector<std::string> CanonLines;
-  if (List)
-    for (size_t I = 0; I != List->Items.size(); ++I) {
-      std::ostringstream WS;
-      WS << "metric " << I;
-      std::string Where = WS.str();
-      const JValue &M = List->Items[I];
-      if (M.K != JValue::Object) {
-        C.problem(Where, "not an object");
-        continue;
+  auto Rules = [&](const JsonValue &M, const std::string &At, size_t I) {
+    const JsonValue *Name = get(M, "name", Str);
+    const JsonValue *Labels = get(M, "labels", Obj);
+    const JsonValue *Kind = get(M, "kind", Str);
+    const JsonValue *Stab = get(M, "stability", Str);
+    if (Name && !validMetricName(Name->Str))
+      C.problem(At,
+                "name '" + Name->Str + "' has characters outside [a-z0-9._]");
+    std::string LabelsFlat;
+    if (Labels)
+      for (const auto &KV : Labels->Members) {
+        if (KV.second.K != Str)
+          C.problem(At, "label '" + KV.first + "' is not a string");
+        else
+          LabelsFlat += "\x1f" + KV.first + "=" + KV.second.Str;
       }
-      const JValue *Name = nullptr, *Labels = nullptr;
-      const JValue *Kind = nullptr, *Stab = nullptr;
-      if (C.need(M, Where, "name", JValue::String, &Name) &&
-          !validMetricName(Name->Str))
-        C.problem(Where, "name '" + Name->Str +
-                             "' has characters outside [a-z0-9._]");
-      std::string LabelsFlat;
-      if (C.need(M, Where, "labels", JValue::Object, &Labels))
-        for (const auto &KV : Labels->Members) {
-          if (KV.second.K != JValue::String)
-            C.problem(Where, "label '" + KV.first + "' is not a string");
-          else
-            LabelsFlat += "\x1f" + KV.first + "=" + KV.second.Str;
+    bool IsHist = Kind && Kind->Str == "histogram";
+    if (Kind)
+      C.checkFields(M, At, IsHist ? HistogramShape : ScalarShape);
+    const JsonValue *Buckets = IsHist ? get(M, "buckets", Arr) : nullptr;
+    if (Buckets) {
+      if (Buckets->Items.size() != 65)
+        C.problem(At, "buckets must have exactly 65 entries");
+      double Total = 0;
+      bool AllNum = true;
+      for (const JsonValue &B : Buckets->Items) {
+        if (B.K != Num || B.Num < 0) {
+          AllNum = false;
+          break;
         }
-      if (C.need(M, Where, "kind", JValue::String, &Kind))
-        C.oneOf(Where, "kind", Kind->Str,
-                {"counter", "gauge", "histogram"});
-      if (C.need(M, Where, "stability", JValue::String, &Stab))
-        C.oneOf(Where, "stability", Stab->Str,
-                {"stable", "count-stable", "volatile"});
-      C.need(M, Where, "unit", JValue::String);
-      C.need(M, Where, "help", JValue::String);
-      if (Kind && Kind->Str == "histogram") {
-        const JValue *Count = nullptr, *Buckets = nullptr;
-        C.need(M, Where, "count", JValue::Number, &Count);
-        C.need(M, Where, "sum", JValue::Number);
-        if (C.need(M, Where, "buckets", JValue::Array, &Buckets)) {
-          if (Buckets->Items.size() != 65)
-            C.problem(Where, "buckets must have exactly 65 entries");
-          double Total = 0;
-          bool AllNum = true;
-          for (const JValue &B : Buckets->Items) {
-            if (B.K != JValue::Number || B.Num < 0) {
-              AllNum = false;
-              break;
-            }
-            Total += B.Num;
-          }
-          if (!AllNum)
-            C.problem(Where, "buckets must be non-negative numbers");
-          else if (Count && Total != Count->Num)
-            C.problem(Where, "buckets do not sum to count");
-        }
-      } else if (Kind) {
-        C.need(M, Where, "value", JValue::Number);
+        Total += B.Num;
       }
-      // The emitter walks a map keyed (name, labels), so the array must be
-      // strictly sorted by that composite key — this is what makes the
-      // file diffable at all.
-      if (Name) {
-        std::string Key = Name->Str + LabelsFlat;
-        if (I && Key <= PrevKey)
-          C.problem(Where,
-                    "metrics are not sorted by (name, labels), or duplicate");
-        PrevKey = Key;
-      }
-      if (Canon && Name && Stab && Stab->Str != "volatile") {
-        // Mirrors rpcc::metricsCanon: the run-invariant projection.
-        std::string L = Name->Str;
-        if (Labels && !Labels->Members.empty()) {
-          L += "{";
-          bool First = true;
-          for (const auto &KV : Labels->Members) {
-            if (!First)
-              L += ",";
-            First = false;
-            L += KV.first + "=" + KV.second.Str;
-          }
-          L += "}";
-        }
-        if (Kind && Kind->Str == "histogram") {
-          L += " count=" + renderNum(M.field("count"));
-          if (Stab->Str == "stable") {
-            L += " sum=" + renderNum(M.field("sum")) + " buckets=";
-            const JValue *Buckets = M.field("buckets");
-            bool First = true;
-            if (Buckets)
-              for (size_t B = 0; B != Buckets->Items.size(); ++B) {
-                if (Buckets->Items[B].Num == 0)
-                  continue;
-                if (!First)
-                  L += ",";
-                First = false;
-                L += std::to_string(B) + ":" +
-                     renderNum(&Buckets->Items[B]);
-              }
-            if (First)
-              L += "-";
-          }
-        } else {
-          L += " " + renderNum(M.field("value"));
-        }
-        CanonLines.push_back(L);
-      }
+      const JsonValue *Count = get(M, "count", Num);
+      if (!AllNum)
+        C.problem(At, "buckets must be non-negative numbers");
+      else if (Count && Total != Count->Num)
+        C.problem(At, "buckets do not sum to count");
     }
+    // The emitter walks a map keyed (name, labels), so the array must be
+    // strictly sorted by that composite key — this is what makes the file
+    // diffable at all.
+    if (Name) {
+      std::string Key = Name->Str + LabelsFlat;
+      if (I && Key <= PrevKey)
+        C.problem(At, "metrics are not sorted by (name, labels), or duplicate");
+      PrevKey = Key;
+    }
+    if (Canon && Name && Stab && Stab->Str != "volatile") {
+      // Mirrors rpcc::metricsCanon: the run-invariant projection.
+      std::string L = Name->Str;
+      if (Labels && !Labels->Members.empty()) {
+        L += "{";
+        bool First = true;
+        for (const auto &KV : Labels->Members) {
+          if (!First)
+            L += ",";
+          First = false;
+          L += KV.first + "=" + KV.second.Str;
+        }
+        L += "}";
+      }
+      if (IsHist) {
+        L += " count=" + renderNum(M.field("count"));
+        if (Stab->Str == "stable") {
+          L += " sum=" + renderNum(M.field("sum")) + " buckets=";
+          bool First = true;
+          if (Buckets)
+            for (size_t B = 0; B != Buckets->Items.size(); ++B) {
+              if (Buckets->Items[B].Num == 0)
+                continue;
+              if (!First)
+                L += ",";
+              First = false;
+              L += std::to_string(B) + ":" + renderNum(&Buckets->Items[B]);
+            }
+          if (First)
+            L += "-";
+        }
+      } else {
+        L += " " + renderNum(M.field("value"));
+      }
+      CanonLines.push_back(L);
+    }
+  };
+  C.forEachObject(List, "metric ", MetricShape, Rules);
   if (Canon && C.Problems.empty()) {
     for (const std::string &L : CanonLines)
       std::printf("%s\n", L.c_str());
@@ -1028,79 +742,49 @@ int checkProm(const std::string &Text) {
 /// the same step count for a program (the engines are observationally
 /// identical by contract), and the jit geomean must be present exactly
 /// when jit rows are.
+const Shape BenchShape = {num("reps", 1), num("geomean_speedup"),
+                          arr("results")};
+const Shape BenchRowShape = {str("program"), num("wall_ms", 0)};
+const Shape InterpRowShape = {str("engine", {"switch", "fastpath", "jit"}),
+                              num("steps"), optional(num("compile_ms", 0))};
+const Shape CompileRowShape = {str("mode", {"uncached", "cached"})};
+
 int checkBench(const std::string &Text) {
-  JValue V;
+  JsonValue V;
   if (int Rc = parseWholeFile(Text, "bench", V))
     return Rc;
   Checker C;
-  const JValue *Reps = nullptr;
-  if (C.need(V, "bench", "reps", JValue::Number, &Reps) && Reps->Num < 1)
-    C.problem("bench", "reps must be at least 1");
-  C.need(V, "bench", "geomean_speedup", JValue::Number);
-  static const std::vector<const char *> Engines = {"switch", "fastpath",
-                                                    "jit"};
-  static const std::vector<const char *> Modes = {"uncached", "cached"};
-  const JValue *Results = nullptr;
+  C.checkFields(V, "bench", BenchShape);
+  const JsonValue *Results = get(V, "results", Arr);
+  if (Results && Results->Items.empty())
+    C.problem("bench", "results is empty");
   bool SawJit = false;
   std::map<std::string, double> StepsOf;
-  if (C.need(V, "bench", "results", JValue::Array, &Results)) {
-    if (Results->Items.empty())
-      C.problem("bench", "results is empty");
-    for (size_t I = 0; I != Results->Items.size(); ++I) {
-      std::ostringstream WS;
-      WS << "bench results[" << I << "]";
-      const JValue &R = Results->Items[I];
-      if (R.K != JValue::Object) {
-        C.problem(WS.str(), "not an object");
-        continue;
+  auto Rules = [&](const JsonValue &R, const std::string &At, size_t) {
+    bool HasEngine = R.field("engine"), HasMode = R.field("mode");
+    if (HasEngine && HasMode) {
+      C.problem(At, "row has both 'engine' and 'mode'");
+    } else if (HasEngine) {
+      C.checkFields(R, At, InterpRowShape);
+      const JsonValue *Engine = get(R, "engine", Str);
+      SawJit |= Engine && Engine->Str == "jit";
+      const JsonValue *Prog = get(R, "program", Str);
+      const JsonValue *Steps = get(R, "steps", Num);
+      if (Prog && Steps) {
+        auto [It, New] = StepsOf.emplace(Prog->Str, Steps->Num);
+        if (!New && It->second != Steps->Num)
+          C.problem(At, "engines disagree on steps for '" + Prog->Str + "'");
       }
-      const JValue *Prog = nullptr;
-      C.need(R, WS.str(), "program", JValue::String, &Prog);
-      const JValue *Wall = nullptr;
-      if (C.need(R, WS.str(), "wall_ms", JValue::Number, &Wall) &&
-          Wall->Num < 0)
-        C.problem(WS.str(), "wall_ms is negative");
-      const JValue *Engine = R.field("engine");
-      const JValue *Mode = R.field("mode");
-      if (Engine && Mode) {
-        C.problem(WS.str(), "row has both 'engine' and 'mode'");
-      } else if (Engine) {
-        if (Engine->K != JValue::String)
-          C.problem(WS.str(), "key 'engine' has wrong type");
-        else {
-          C.oneOf(WS.str(), "engine", Engine->Str, Engines);
-          if (Engine->Str == "jit")
-            SawJit = true;
-        }
-        const JValue *Steps = nullptr;
-        if (C.need(R, WS.str(), "steps", JValue::Number, &Steps) && Prog) {
-          auto It = StepsOf.find(Prog->Str);
-          if (It == StepsOf.end())
-            StepsOf.emplace(Prog->Str, Steps->Num);
-          else if (It->second != Steps->Num)
-            C.problem(WS.str(), "engines disagree on steps for '" +
-                                    Prog->Str + "'");
-        }
-        if (const JValue *CompMs = R.field("compile_ms")) {
-          if (CompMs->K != JValue::Number)
-            C.problem(WS.str(), "key 'compile_ms' has wrong type");
-          else if (CompMs->Num < 0)
-            C.problem(WS.str(), "compile_ms is negative");
-        }
-      } else if (Mode) {
-        if (Mode->K != JValue::String)
-          C.problem(WS.str(), "key 'mode' has wrong type");
-        else
-          C.oneOf(WS.str(), "mode", Mode->Str, Modes);
-      } else {
-        C.problem(WS.str(),
-                  "row needs 'engine' (interp bench) or 'mode' (compile "
-                  "bench)");
-      }
+    } else if (HasMode) {
+      C.checkFields(R, At, CompileRowShape);
+    } else {
+      C.problem(At, "row needs 'engine' (interp bench) or 'mode' (compile "
+                    "bench)");
     }
-  }
+  };
+  C.forEachObject(Results, "bench results", BenchRowShape, Rules);
   if (SawJit)
-    C.need(V, "bench", "geomean_speedup_jit", JValue::Number);
+    C.checkFields(V, "bench", {num("geomean_speedup_jit")});
   else if (V.field("geomean_speedup_jit"))
     C.problem("bench", "geomean_speedup_jit present without jit rows");
   return finish(C, "bench", Results ? Results->Items.size() : 0);
@@ -1112,64 +796,52 @@ int checkBench(const std::string &Text) {
 /// headline connection count actually has warm and fork rows, the headline
 /// rates match those rows, and the speedup is their ratio — so the number
 /// the README quotes cannot drift from the data it summarizes.
+const Shape BenchServedShape = {
+    num("requests_per_conn", 1), num("workers", 1),
+    arr("results"),              num("headline_connections"),
+    num("warm_rps"),             num("fork_rps"),
+    num("speedup_warm_vs_fork")};
+const Shape BenchServedRowShape = {
+    str("scenario", {"fork", "cold", "warm"}),
+    num("connections", 1),
+    num("requests", 1),
+    num("wall_ms", 0),
+    num("rps"),
+    num("p50_us", 0),
+    num("p99_us")};
+
 int checkBenchServed(const std::string &Text) {
-  JValue V;
+  JsonValue V;
   if (int Rc = parseWholeFile(Text, "bench-served", V))
     return Rc;
   Checker C;
-  const JValue *F = nullptr;
-  if (C.need(V, "bench-served", "requests_per_conn", JValue::Number, &F) &&
-      F->Num < 1)
-    C.problem("bench-served", "requests_per_conn must be at least 1");
-  if (C.need(V, "bench-served", "workers", JValue::Number, &F) && F->Num < 1)
-    C.problem("bench-served", "workers must be at least 1");
-  static const std::vector<const char *> Scenarios = {"fork", "cold", "warm"};
-  const JValue *Results = nullptr;
+  C.checkFields(V, "bench-served", BenchServedShape);
+  const JsonValue *Results = get(V, "results", Arr);
+  if (Results && Results->Items.empty())
+    C.problem("bench-served", "results is empty");
   std::map<std::string, double> RpsOf; ///< "scenario/conns" -> rps
-  if (C.need(V, "bench-served", "results", JValue::Array, &Results)) {
-    if (Results->Items.empty())
-      C.problem("bench-served", "results is empty");
-    for (size_t I = 0; I != Results->Items.size(); ++I) {
-      std::ostringstream WS;
-      WS << "bench-served results[" << I << "]";
-      const JValue &R = Results->Items[I];
-      if (R.K != JValue::Object) {
-        C.problem(WS.str(), "not an object");
-        continue;
-      }
-      const JValue *Scen = nullptr, *Conns = nullptr;
-      if (C.need(R, WS.str(), "scenario", JValue::String, &Scen))
-        C.oneOf(WS.str(), "scenario", Scen->Str, Scenarios);
-      if (C.need(R, WS.str(), "connections", JValue::Number, &Conns) &&
-          Conns->Num < 1)
-        C.problem(WS.str(), "connections must be at least 1");
-      if (C.need(R, WS.str(), "requests", JValue::Number, &F) && F->Num < 1)
-        C.problem(WS.str(), "requests must be at least 1");
-      if (C.need(R, WS.str(), "wall_ms", JValue::Number, &F) && F->Num < 0)
-        C.problem(WS.str(), "wall_ms is negative");
-      const JValue *Rps = nullptr;
-      if (C.need(R, WS.str(), "rps", JValue::Number, &Rps) && Rps->Num <= 0)
-        C.problem(WS.str(), "rps must be positive");
-      const JValue *P50 = nullptr, *P99 = nullptr;
-      if (C.need(R, WS.str(), "p50_us", JValue::Number, &P50) && P50->Num < 0)
-        C.problem(WS.str(), "p50_us is negative");
-      if (C.need(R, WS.str(), "p99_us", JValue::Number, &P99) && P50 &&
-          P99->Num < P50->Num)
-        C.problem(WS.str(), "p99_us below p50_us");
-      if (Scen && Conns && Rps) {
-        std::string Key =
-            Scen->Str + "/" + std::to_string(static_cast<long long>(Conns->Num));
-        if (!RpsOf.emplace(Key, Rps->Num).second)
-          C.problem(WS.str(), "duplicate (scenario, connections) row");
-      }
+  auto Rules = [&](const JsonValue &R, const std::string &At, size_t) {
+    const JsonValue *Rps = get(R, "rps", Num);
+    if (Rps && Rps->Num <= 0)
+      C.problem(At, "rps must be positive");
+    const JsonValue *P50 = get(R, "p50_us", Num), *P99 = get(R, "p99_us", Num);
+    if (P50 && P99 && P99->Num < P50->Num)
+      C.problem(At, "p99_us below p50_us");
+    const JsonValue *Scen = get(R, "scenario", Str);
+    const JsonValue *Conns = get(R, "connections", Num);
+    if (Scen && Conns && Rps) {
+      std::string Key = Scen->Str + "/" +
+                        std::to_string(static_cast<long long>(Conns->Num));
+      if (!RpsOf.emplace(Key, Rps->Num).second)
+        C.problem(At, "duplicate (scenario, connections) row");
     }
-  }
-  const JValue *Headline = nullptr, *WarmRps = nullptr, *ForkRps = nullptr;
-  const JValue *Speedup = nullptr;
-  C.need(V, "bench-served", "headline_connections", JValue::Number, &Headline);
-  C.need(V, "bench-served", "warm_rps", JValue::Number, &WarmRps);
-  C.need(V, "bench-served", "fork_rps", JValue::Number, &ForkRps);
-  C.need(V, "bench-served", "speedup_warm_vs_fork", JValue::Number, &Speedup);
+  };
+  C.forEachObject(Results, "bench-served results", BenchServedRowShape,
+                  Rules);
+  const JsonValue *Headline = get(V, "headline_connections", Num);
+  const JsonValue *WarmRps = get(V, "warm_rps", Num);
+  const JsonValue *ForkRps = get(V, "fork_rps", Num);
+  const JsonValue *Speedup = get(V, "speedup_warm_vs_fork", Num);
   auto closeEnough = [](double A, double B) {
     double Mag = std::max(std::fabs(A), std::fabs(B));
     return std::fabs(A - B) <= 0.01 * Mag + 1e-3;
@@ -1180,8 +852,7 @@ int checkBenchServed(const std::string &Text) {
     auto Warm = RpsOf.find("warm" + Suffix);
     auto Fork = RpsOf.find("fork" + Suffix);
     if (Warm == RpsOf.end() || Fork == RpsOf.end())
-      C.problem("bench-served",
-                "no warm/fork rows at headline_connections");
+      C.problem("bench-served", "no warm/fork rows at headline_connections");
     else {
       if (!closeEnough(Warm->second, WarmRps->Num))
         C.problem("bench-served", "warm_rps does not match its row");
@@ -1196,107 +867,12 @@ int checkBenchServed(const std::string &Text) {
   return finish(C, "bench-served", Results ? Results->Items.size() : 0);
 }
 
-//===----------------------------------------------------------------------===//
-// rpserved response envelopes
-//===----------------------------------------------------------------------===//
-
-/// One rpserved JSON response envelope (any endpoint). Every envelope
-/// carries a status from the shared vocabulary; failure statuses carry an
-/// error; artifact provenance ("key", "cached") is format-checked when
-/// present. /run success bodies get their ops object checked, /suite
-/// success bodies their per-program cells.
-void checkServedObject(const JValue &O, const std::string &Where,
-                       Checker &C) {
-  static const std::vector<const char *> Statuses = {
-      "ok", "error", "trap", "timeout", "oom", "crash", "internal-error"};
-  static const std::vector<const char *> CachedKinds = {
-      "hit", "miss", "coalesced", "bypass", "fork"};
-  const JValue *St = nullptr;
-  if (C.need(O, Where, "status", JValue::String, &St))
-    C.oneOf(Where, "status", St->Str, Statuses);
-  if (St && St->Str != "ok") {
-    const JValue *Err = O.field("error");
-    if (!Err || Err->K != JValue::String)
-      C.problem(Where, "failure envelope without an 'error' string");
-  }
-  if (const JValue *Key = O.field("key")) {
-    bool Good = Key->K == JValue::String && Key->Str.size() == 32;
-    if (Good)
-      for (char Ch : Key->Str)
-        if (!((Ch >= '0' && Ch <= '9') || (Ch >= 'a' && Ch <= 'f')))
-          Good = false;
-    if (!Good)
-      C.problem(Where, "key is not 32 lowercase hex characters");
-  }
-  if (const JValue *Cached = O.field("cached")) {
-    if (Cached->K != JValue::String)
-      C.problem(Where, "key 'cached' has wrong type");
-    else
-      C.oneOf(Where, "cached", Cached->Str, CachedKinds);
-  }
-  for (const char *Num : {"wall_ms", "static_ops", "promoted_tags",
-                          "rewritten_ops", "exit_code"})
-    if (const JValue *N = O.field(Num))
-      if (N->K != JValue::Number)
-        C.problem(Where, std::string("key '") + Num + "' has wrong type");
-  if (const JValue *Ops = O.field("ops")) {
-    if (Ops->K != JValue::Object) {
-      C.problem(Where, "key 'ops' has wrong type");
-    } else {
-      C.need(*Ops, Where + " ops", "total", JValue::Number);
-      C.need(*Ops, Where + " ops", "loads", JValue::Number);
-      C.need(*Ops, Where + " ops", "stores", JValue::Number);
-    }
-  }
-  if (const JValue *Programs = O.field("programs")) {
-    if (Programs->K != JValue::Array) {
-      C.problem(Where, "key 'programs' has wrong type");
-      return;
-    }
-    for (size_t I = 0; I != Programs->Items.size(); ++I) {
-      std::ostringstream WS;
-      WS << Where << " programs[" << I << "]";
-      const JValue &P = Programs->Items[I];
-      if (P.K != JValue::Object) {
-        C.problem(WS.str(), "not an object");
-        continue;
-      }
-      C.need(P, WS.str(), "name", JValue::String);
-      const JValue *Cells = nullptr;
-      if (!C.need(P, WS.str(), "cells", JValue::Array, &Cells))
-        continue;
-      if (Cells->Items.size() != 4)
-        C.problem(WS.str(), "cells must have exactly 4 entries (2x2)");
-      for (size_t J = 0; J != Cells->Items.size(); ++J) {
-        std::ostringstream CS;
-        CS << WS.str() << " cells[" << J << "]";
-        const JValue &Cell = Cells->Items[J];
-        if (Cell.K != JValue::Object) {
-          C.problem(CS.str(), "not an object");
-          continue;
-        }
-        C.need(Cell, CS.str(), "cell", JValue::String);
-        const JValue *Ok = nullptr;
-        C.need(Cell, CS.str(), "ok", JValue::Bool, &Ok);
-        C.need(Cell, CS.str(), "child", JValue::String);
-        if (Ok && Ok->B) {
-          C.need(Cell, CS.str(), "total", JValue::Number);
-          C.need(Cell, CS.str(), "loads", JValue::Number);
-          C.need(Cell, CS.str(), "stores", JValue::Number);
-        } else if (Ok) {
-          C.need(Cell, CS.str(), "error", JValue::String);
-        }
-      }
-    }
-  }
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   if (argc != 3) {
     std::fputs("usage: rpjson remarks|profile|trace|timing|canon|metrics|"
-               "prom|metrics-canon|bench|bench-served|served FILE\n",
+               "prom|metrics-canon|bench|bench-served FILE\n",
                stderr);
     return 2;
   }
@@ -1330,8 +906,6 @@ int main(int argc, char **argv) {
     return checkBench(Text);
   if (std::strcmp(Cmd, "bench-served") == 0)
     return checkBenchServed(Text);
-  if (std::strcmp(Cmd, "served") == 0)
-    return checkJsonLines(Text, "served", checkServedObject);
   std::fprintf(stderr, "rpjson: unknown command '%s'\n", Cmd);
   return 2;
 }

@@ -29,6 +29,7 @@
 #include "driver/PassTiming.h"
 #include "obs/Metrics.h"
 #include "support/Json.h"
+#include "support/JsonParse.h"
 
 #include <algorithm>
 #include <atomic>
@@ -326,15 +327,14 @@ struct WorkerResult {
   uint64_t SentCrash = 0, SentHang = 0, SentOom = 0;
 };
 
-/// Pulls "status":"..." out of a response body without a full JSON parse
-/// (loadgen keeps zero dependencies on response field order beyond this).
+/// The envelope's top-level "status" string; empty when the body does not
+/// parse or carries none, which classifies as a mismatch either way.
 std::string envelopeStatus(const std::string &Body) {
-  size_t Pos = Body.find("\"status\":\"");
-  if (Pos == std::string::npos)
-    return std::string();
-  Pos += 10;
-  size_t End = Body.find('"', Pos);
-  return End == std::string::npos ? std::string() : Body.substr(Pos, End - Pos);
+  JsonValue V;
+  std::string Err, Status;
+  if (parseJson(Body, V, Err))
+    Status = V.strOr("status", "", Err);
+  return Status;
 }
 
 void runWorker(const std::string &Host, uint16_t Port, Corpus C,
