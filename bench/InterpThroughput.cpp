@@ -12,11 +12,16 @@
 //
 // The table goes to stdout; the raw samples are also written as JSON
 // (default BENCH_interp.json):
-//   {"reps":N,"results":[{"program":..,"engine":..,"steps":..,
-//    "wall_ms":..,"compile_ms":..}],
+//   {"reps":N,"build_type":..,"commit":..,"nproc":..,
+//    "results":[{"program":..,"engine":..,"steps":..,"wall_ms":..,
+//    "median_ms":..,"max_ms":..,"runs":..,"compile_ms":..}],
 //    "geomean_speedup":..,"geomean_speedup_jit":..}
 // (the jit fields appear only when the build has a jit; compile_ms is the
 // warmup run's lazy-compilation time and is 0 for non-jit engines).
+// wall_ms is the minimum of the row's timed runs, the figure the speedups
+// use; median_ms and max_ms give their spread. commit is `git describe
+// --always --dirty` of the source tree at run time ("unknown" without git),
+// nproc the host's hardware thread count.
 // --min-jit-geomean=X exits nonzero when the jit geomean lands below X,
 // which is how the bench_smoke ctest turns this harness into a perf gate.
 //
@@ -30,11 +35,13 @@
 #include "support/Format.h"
 #include "support/Json.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace rpcc;
@@ -46,6 +53,9 @@ struct Sample {
   InterpEngine Engine;
   uint64_t Steps = 0;
   double BestMs = 0;
+  /// Spread of the timed runs (the warmup excluded).
+  double MedianMs = 0, MaxMs = 0;
+  unsigned Runs = 0;
   /// Lazy-compilation wall time of the warmup run — the only run that can
   /// pay it when the code cache is on. Kept out of BestMs (the warmup never
   /// enters the best-of pool) and reported separately so the JSON shows
@@ -102,12 +112,35 @@ Sample measure(const std::string &Name, Module &M, InterpEngine E,
   if (PerRun * Reps < MinTotalMs)
     N = static_cast<unsigned>(MinTotalMs / PerRun) + 1;
 
-  for (unsigned R = 0; R != N; ++R) {
-    double Ms = runOnce(/*Warmup=*/false);
-    if (Ms < S.BestMs)
-      S.BestMs = Ms;
-  }
+  std::vector<double> Times;
+  for (unsigned R = 0; R != N; ++R)
+    Times.push_back(runOnce(/*Warmup=*/false));
+  std::sort(Times.begin(), Times.end());
+  S.BestMs = Times.front();
+  S.MaxMs = Times.back();
+  S.MedianMs = Times.size() % 2
+                   ? Times[Times.size() / 2]
+                   : (Times[Times.size() / 2 - 1] + Times[Times.size() / 2]) /
+                         2;
+  S.Runs = N;
   return S;
+}
+
+/// `git describe --always --dirty` of the source tree, or "unknown".
+std::string sourceCommit() {
+  std::string Out;
+  if (FILE *P = popen("git -C \"" RPCC_SOURCE_DIR
+                      "\" describe --always --dirty 2>/dev/null",
+                      "r")) {
+    char Buf[128];
+    while (std::fgets(Buf, sizeof(Buf), P))
+      Out += Buf;
+    if (pclose(P) != 0)
+      Out.clear();
+  }
+  while (!Out.empty() && (Out.back() == '\n' || Out.back() == '\r'))
+    Out.pop_back();
+  return Out.empty() ? "unknown" : Out;
 }
 
 } // namespace
@@ -240,7 +273,12 @@ int main(int argc, char **argv) {
                 fixed(GeomeanJit, 2).c_str());
 
   std::string Json;
-  Json += "{\"reps\":" + std::to_string(Reps) + ",\"results\":[";
+  Json += "{\"reps\":" + std::to_string(Reps);
+  Json += ",\"build_type\":\"" + jsonEscape(RPCC_BUILD_TYPE) + "\"";
+  Json += ",\"commit\":\"" + jsonEscape(sourceCommit()) + "\"";
+  Json += ",\"nproc\":" +
+          std::to_string(std::max(1u, std::thread::hardware_concurrency()));
+  Json += ",\"results\":[";
   for (size_t I = 0; I != Results.size(); ++I) {
     const Sample &S = Results[I];
     if (I)
@@ -249,6 +287,9 @@ int main(int argc, char **argv) {
     Json += ",\"engine\":\"" + std::string(interpEngineName(S.Engine)) + "\"";
     Json += ",\"steps\":" + std::to_string(S.Steps);
     Json += ",\"wall_ms\":" + fixed(S.BestMs, 3);
+    Json += ",\"median_ms\":" + fixed(S.MedianMs, 3);
+    Json += ",\"max_ms\":" + fixed(S.MaxMs, 3);
+    Json += ",\"runs\":" + std::to_string(S.Runs);
     Json += ",\"compile_ms\":" + fixed(S.CompileMs, 3) + "}";
   }
   Json += "],\"geomean_speedup\":" + fixed(Geomean, 3);

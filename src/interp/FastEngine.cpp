@@ -87,6 +87,7 @@ uint64_t Machine::callDecoded(FuncId FId, size_t ArgBase, size_t NArgs) {
       E = JP->compile(DF, Us);
       JitCompileUs += Us;
     }
+    JitUse[FId] = E ? JitProgram::RanNative : JitProgram::RanFallback;
     Result = E ? execJit<Profiled>(E, DF, ArgBase, NArgs)
                : execDecoded<Profiled>(DF, ArgBase, NArgs);
   } else {

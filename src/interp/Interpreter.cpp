@@ -52,12 +52,11 @@ bool rpcc::parseInterpEngine(const std::string &Name, InterpEngine &Out) {
 
 namespace {
 
-/// Per-run JIT cost record. The per-function metrics (jit.functions,
-/// jit.code_bytes, jit.fused_pairs, ...) are counted at the compile sites
-/// under the program's compile lock, exactly once per function per distinct
-/// cached program — which is what keeps them --jobs-invariant; here we only
-/// observe what this run paid in wall time (count-stable: the observation
-/// count is deterministic, the latency is not).
+/// Per-run JIT cost record: what this run paid in wall time (count-stable:
+/// the observation count is deterministic, the latency is not). The static
+/// per-function metrics (jit.functions, jit.code_bytes, jit.fused_pairs,
+/// ...) are counted by JitProgram::recordRun over the functions the run
+/// used.
 void recordJitRun(uint64_t CompileUs) {
   static Histogram CompileUsH = MetricsRegistry::global().histogram(
       "jit.compile_us", {}, MetricStability::CountStable, "us",
@@ -113,8 +112,11 @@ ExecResult Machine::run() {
     RT.ByOpcodeBase = Counters.ByOpcode.data();
     RT.PerFuncBase = PerFunc.data();
     RT.GlobalData = GlobalMem.data();
+    JitUse.assign(M.numFunctions(), JitProgram::NotRun);
     Ret = runJit(Main);
     recordJitRun(JitCompileUs);
+    if (JP)
+      JP->recordRun(JitUse);
     R.JitCompileMs = static_cast<double>(JitCompileUs) / 1000.0;
   } else if (Opts.Engine == InterpEngine::FastPath) {
     DM = &Decoded;

@@ -107,9 +107,10 @@ struct InterpOptions {
   /// frame entry in both engines, so the fault (message and Counters.Total)
   /// is counting-exact and engine-identical, like MaxCallDepth.
   size_t MaxFrameBytes = size_t(1) << 26;
-  /// Wall-clock execution budget in milliseconds; 0 = none. Checked every
-  /// 64K executed operations by both engines, so the two engines fault at
-  /// the same check points — but when the clock trips is inherently
+  /// Wall-clock execution budget in milliseconds; 0 = none. Checked at
+  /// frame entry and every 64K executed operations by the interpreters, and
+  /// at the entry of the counting segment that crosses a 64K operation by
+  /// unprofiled jit code. When the clock trips is inherently
   /// nondeterministic, unlike the counting-exact limits above.
   double WallDeadlineMs = 0;
   /// When non-null, every executed load/store is attributed to its

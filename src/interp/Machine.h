@@ -97,8 +97,9 @@ private:
         .count();
   }
   /// True (and raises the fault) when InterpOptions::WallDeadlineMs has
-  /// elapsed. Both engines call this at the same Counters.Total check
-  /// points — entry to every frame plus every 64K executed operations — so
+  /// elapsed. Every engine calls it at frame entry and about every 64K
+  /// executed operations (the interpreters on the exact step, unprofiled
+  /// jit code at the entry of the counting segment that crosses it), so
   /// they fault with the same message at the same cadence.
   bool checkWallDeadline() {
     if (!DeadlineAbsMs || wallNowMs() <= DeadlineAbsMs)
@@ -161,11 +162,13 @@ private:
 
   /// Jit engine only: the (possibly cache-shared) compiled program — null
   /// entries compile lazily on first call, declines fall back to the fast
-  /// path per function — plus the cell block shared with emitted code and
-  /// the wall microseconds this run actually spent emitting.
+  /// path per function — plus the cell block shared with emitted code, the
+  /// wall microseconds this run actually spent emitting, and how the run
+  /// executed each function (a JitProgram::RunUse per FuncId).
   std::shared_ptr<JitProgram> JP;
   JitRT RT;
   uint64_t JitCompileUs = 0;
+  std::vector<uint8_t> JitUse;
 };
 
 } // namespace rpcc

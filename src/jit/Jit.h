@@ -13,7 +13,7 @@
 /// through runtime shims that reuse the exact Machine services both
 /// interpreters use, so behavior and fault messages stay byte-identical.
 ///
-/// Beyond the baseline templates this tier carries four optimizations, all
+/// Beyond the baseline templates this tier carries five optimizations, all
 /// invisible to the counting contract:
 ///
 ///  * Block-local host register allocation: the hottest IL registers of
@@ -24,6 +24,11 @@
 ///  * Superinstruction templates emitted directly from the decoded stream
 ///    (compare+branch flag reuse, LoadI folding, FMul+FAdd/FSub), counting
 ///    both constituent steps exactly as the fast path counts the pair.
+///  * Segment-granular budgets: unprofiled code pays a counting segment's
+///    steps (a block, split at calls) at its entry and checks MaxSteps and
+///    the 64K deadline poll point once there, against JitRT::Horizon; a
+///    cold path polls the deadline and, when MaxSteps falls inside the
+///    segment, runs a per-step copy of it that faults on the exact step.
 ///  * Deferred counter accumulation: ByOpcode and the load/store tallies
 ///    are added as static per-block totals at block exits instead of
 ///    per-step read-modify-writes; fault paths reconstruct the partial
@@ -34,10 +39,14 @@
 ///
 /// Counting-exactness is the design constraint: the step counter lives in a
 /// pinned register flushed at the same points the fast path flushes its
-/// locals, the global load/store tallies accumulate in JitRT cells merged
-/// once at the end of the run, and budgets (MaxSteps, MaxFrameBytes,
-/// WallDeadlineMs) are checked at the identical program points, so the
-/// budget-parity tests hold including Counters.Total.
+/// locals (calls and exits close segments, and every mid-segment fault
+/// site moves it back to its own step), the global load/store tallies
+/// accumulate in JitRT cells merged once at the end of the run, and the
+/// step-limit and frame-budget faults land on the interpreters' exact step
+/// with their exact counters, so the budget-parity tests hold including
+/// Counters.Total. Only the wall deadline moves: it is polled at the entry
+/// of the segment that crosses a 64K step, which changes no contract,
+/// because when the clock trips was never deterministic.
 ///
 /// Functions the emitter declines (a malformed stream or frame layout,
 /// out-of-range displacements) simply get no native entry and run on the
@@ -75,8 +84,16 @@ struct JitRT {
   /// r12 and flushes here around calls and exits, exactly where the fast
   /// path flushes its TotalLoc local.
   uint64_t TotalCell = 0;
-  /// InterpOptions::MaxSteps, compared against r12 every step.
+  /// InterpOptions::MaxSteps, compared against r12 every step by per-step
+  /// code (profiled functions, and the cold per-step copy of a counting
+  /// segment the limit falls inside).
   uint64_t MaxSteps = 0;
+  /// Segment-entry budget horizon. Unprofiled code adds a counting
+  /// segment's static step count to r12 at the segment's entry and leaves
+  /// for the cold path only when the sum passes this cell; the segment shim
+  /// keeps it at min(MaxSteps, the last step before the next 64K deadline
+  /// poll point). Zero at the start, so the run's first segment sets it.
+  uint64_t Horizon = 0;
   /// Global Figure 6/7 tallies deferred by the native code; Machine::runJit
   /// merges them into Counters.Loads/Stores once at the end of the run.
   uint64_t LoadsAcc = 0;
@@ -104,12 +121,14 @@ struct JitRT {
   uint64_t HeapSize = 0;
   /// StackMem.size(); grows/shrinks only across calls, same refresh.
   uint64_t StackSize = 0;
-  /// Deferred-counter segment state: r12 snapshot at the current counting
-  /// segment's entry and the segment's first instruction index. Fault
-  /// paths hand (r12 - BlockSnap [- 1]) to the flush shim, which walks the
-  /// decoded stream from BlockFirst reconstructing the partial ByOpcode
-  /// and load/store counts. Written by emitted code with 32-bit stores
-  /// (BlockFirst/CurFn), so they must start zeroed — default init does.
+  /// Deferred-counter segment state: the current counting segment's base
+  /// Total and first instruction index. Fault paths hand (r12 - BlockSnap
+  /// [- 1]) to the flush shim, which walks the decoded stream from
+  /// BlockFirst reconstructing the partial ByOpcode and load/store counts.
+  /// Per-step code (profiled functions, cold per-step copies) writes them
+  /// at segment entry; unprofiled fast code only on its fault paths.
+  /// Written by emitted code with 32-bit stores (BlockFirst/CurFn), so
+  /// they must start zeroed — default init does.
   uint64_t BlockSnap = 0;
   uint64_t BlockFirst = 0;
   /// FuncId of the innermost native frame, maintained by prologues and
@@ -127,6 +146,7 @@ struct JitRT {
   const void *HelpCall = nullptr;
   const void *HelpCallInd = nullptr;
   const void *HelpDeadline = nullptr;
+  const void *HelpSegment = nullptr;
   const void *HelpStepLimit = nullptr;
   const void *HelpFault = nullptr;
   const void *HelpProfile = nullptr;
@@ -172,11 +192,14 @@ public:
   /// (0 when another thread got there first).
   Entry compile(const DecodedFunction &DF, uint64_t &OutCompileUs);
 
-  // Cost/diagnostic totals over the program's lifetime.
-  size_t compiledCount() const { return NCompiled.load(); }
-  size_t codeBytes() const { return NCodeBytes.load(); }
-  size_t fusedPairs() const { return NFusedPairs.load(); }
-  size_t residentRegs() const { return NResidentRegs.load(); }
+  /// How one run used function F, for recordRun.
+  enum RunUse : uint8_t { NotRun = 0, RanNative = 1, RanFallback = 2 };
+  /// Adds one run's share to the jit.* compile-side metrics: the static
+  /// figures (code bytes, fused pairs, resident registers) of every
+  /// function \p Use marks RanNative, and a decline for every one it marks
+  /// RanFallback. Counting per run rather than per compile keeps the
+  /// figures the same whether or not the run found the code cached.
+  void recordRun(const std::vector<uint8_t> &Use) const;
 
   uint64_t globalSize() const { return GlobalSize; }
   bool profiled() const { return Profiled; }
@@ -192,8 +215,12 @@ private:
     size_t Size;
   };
   std::vector<Chunk> Chunks; ///< one RX mapping per compiled function
-  std::atomic<size_t> NCompiled{0}, NCodeBytes{0}, NFusedPairs{0},
-      NResidentRegs{0};
+  /// Static figures of each compiled function, written before its entry is
+  /// published (so a reader that saw the entry sees them).
+  struct FuncStats {
+    uint32_t CodeBytes = 0, FusedPairs = 0, ResidentRegs = 0;
+  };
+  std::vector<FuncStats> Stats;
 };
 
 /// Shared program for \p DM decoded against a global image of

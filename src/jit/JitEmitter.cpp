@@ -2,14 +2,17 @@
 //
 // Lowers decoded instruction streams to native code. On top of the
 // baseline templates this tier performs block-local host register residency
-// (JitRegAlloc.h), superinstruction fusion of adjacent pairs, deferred
-// counter accumulation, and relocatable code emission so compiled functions
-// can be shared through the code cache.
+// (JitRegAlloc.h), superinstruction fusion of adjacent pairs,
+// segment-granular budget checks, deferred counter accumulation, and
+// relocatable code emission so compiled functions can be shared through the
+// code cache.
 //
 // Register convention inside a compiled function:
 //   callee-saved pins (live across shim calls):
 //     r15  JitRT*                     rbx  &RegArena[RegBase] (the frame's R)
-//     r12  Counters.Total             r13  StackMem.data() + FrameOff
+//     r12  Counters.Total (+ steps     r13  StackMem.data() + FrameOff
+//          the open segment has yet
+//          to run; see Counting)
 //     rbp  &PerFunc[fid]              r14  &Counters.ByOpcode[0]
 //     [rsp]    RegBase                [rsp+8]  FrameOff
 //     [rsp+16] FC.Total delta base (per-function share = r12 - this)
@@ -22,18 +25,35 @@
 // reallocated); r12 is flushed to JitRT::TotalCell around calls and exits,
 // mirroring the fast path's RPCC_FLUSH/RELOAD_COUNTERS discipline exactly.
 //
-// Counting. Each step still runs the bounded prologue (Total++ against
-// MaxSteps, the 64K wall-deadline poll) because those can fault, but the
-// ByOpcode / per-function / load/store tallies are DEFERRED: a counting
-// segment (a basic block, split at calls) records its entry Total and first
-// instruction index in JitRT cells, a static per-segment count table is
-// added at the segment's exits, and every fault path reconstructs the
-// partial segment's counts by walking the decoded stream through the flush
-// shim — at the precise step index the fast path would have counted to.
+// Counting. The unit is the counting segment: a basic block, split at calls.
+// Unprofiled code runs no per-step prologue. A segment's entry pays its
+// steps in advance: it adds the segment's static step count L to r12 (a
+// fused pair counts 2) and compares the sum once against JitRT::Horizon, the
+// smaller of MaxSteps and the last step before the next 64K wall-deadline
+// poll point. Past the horizon, a cold path calls the segment shim before
+// any of the segment's steps runs. The shim polls the deadline when the
+// segment crosses a poll point and re-arms the horizon. When MaxSteps itself
+// falls inside the segment, the cold path runs the segment's per-step copy:
+// the unfused templates, each behind the bounded prologue (Total++ against
+// MaxSteps), so the step-limit fault lands on the exact step. Profiled code
+// keeps that per-step prologue, plus the 64K poll, on every step.
+// Inside a segment r12 runs ahead of the executed steps. Every mid-segment
+// fault site (memory shims, div/rem, Fault records) moves it back to the
+// faulting step on its cold path; calls and returns end their segments; so
+// Total is exact wherever it can be observed.
+// The ByOpcode / per-function / load/store tallies are DEFERRED too: a
+// static per-segment count table is added at the segment's exits, and
+// every fault path reconstructs the partial segment's counts by walking the
+// decoded stream through the flush shim — at the precise step index the
+// fast path would have counted to. The shim finds the segment's base Total
+// and first instruction index in JitRT cells, which per-step code writes at
+// segment entry and fast code writes only on its way to a fault.
 // Fault taxonomy: shim faults (memory, div/rem, decode-time Fault records)
 // are "prologue-complete" — the faulting instruction is fully counted, like
-// both interpreters count it; step-limit and deadline faults exclude the
-// faulting step (the interpreters raise before the ByOpcode bump).
+// both interpreters count it; step-limit faults, and the per-step deadline
+// faults of profiled code, exclude the faulting step (the interpreters raise
+// before the ByOpcode bump); a segment-entry deadline fault strikes between
+// steps, so it excludes nothing and ByOpcode sums to Total.
 //
 // Relocation. Emitted code bakes no per-Machine pointers: counter arrays,
 // the global image, and heap/stack segments are reached through JitRT
@@ -65,7 +85,7 @@ bool rpcc::jitSupported() { return RPCC_JIT_AVAILABLE != 0; }
 
 JitProgram::JitProgram(size_t NumFuncs, uint64_t GlobalSize, bool Profiled)
     : GlobalSize(GlobalSize), Profiled(Profiled), Entries(NumFuncs),
-      Declined(NumFuncs) {
+      Declined(NumFuncs), Stats(NumFuncs) {
   // vector value-initialization of std::atomic is only guaranteed zeroing
   // from C++20; make the initial state explicit.
   for (auto &E : Entries)
@@ -91,6 +111,8 @@ JitProgram::Entry JitProgram::compile(const DecodedFunction &DF,
   return nullptr;
 }
 
+void JitProgram::recordRun(const std::vector<uint8_t> &) const {}
+
 #else // RPCC_JIT_AVAILABLE
 
 static_assert(std::is_standard_layout_v<JitRT>,
@@ -99,6 +121,9 @@ static_assert(sizeof(FunctionCounters) == 24 &&
                   offsetof(FunctionCounters, Loads) == 8 &&
                   offsetof(FunctionCounters, Stores) == 16,
               "emitted code addresses FunctionCounters by fixed offsets");
+
+static_assert(static_cast<size_t>(DecodedOp::Call) + 7 == NumDecodedOps,
+              "segmentLast relies on Call..Fault closing the DecodedOp enum");
 
 namespace {
 
@@ -298,7 +323,7 @@ struct Fixup {
 enum : uint32_t {
   StubStep = 0,       ///< step-limit raise, then partial-count flush
   StubFaultLimit = 1, ///< flush excluding the faulting step, then unwind
-  StubDeadline = 2,   ///< 64K wall poll (reached by call, pool preserved)
+  StubDeadline = 2,   ///< profiled code's 64K wall poll (reached by call)
   StubFaultP = 3,     ///< flush including the faulting step, then unwind
   StubFault = 4,      ///< zero the return value, fall into the epilogue
   StubEpi = 5,
@@ -307,6 +332,7 @@ enum : uint32_t {
 
 constexpr int32_t OffTotal = offsetof(JitRT, TotalCell);
 constexpr int32_t OffMaxSteps = offsetof(JitRT, MaxSteps);
+constexpr int32_t OffHorizon = offsetof(JitRT, Horizon);
 constexpr int32_t OffLoadsAcc = offsetof(JitRT, LoadsAcc);
 constexpr int32_t OffStoresAcc = offsetof(JitRT, StoresAcc);
 constexpr int32_t OffRegArena = offsetof(JitRT, RegArenaData);
@@ -349,6 +375,11 @@ private:
   uint32_t bodyLabel(uint32_t B) const { return N + B; }
   uint32_t thunkLabel(uint32_t B) const { return N + NB + B; }
   uint32_t stub(uint32_t S) const { return N + 2 * NB + S; }
+  /// Fresh label past the fixed ones (segment cold paths and resumptions).
+  uint32_t newLabel() {
+    LabelOff.push_back(0);
+    return static_cast<uint32_t>(LabelOff.size() - 1);
+  }
 
   // Short forward branches inside one template, patched immediately when the
   // target is reached (the label/Fixup machinery is for inter-instruction
@@ -458,11 +489,75 @@ private:
         A.movMR(RBX, regOff(Cur->Slots[S].R), PoolReg[S]);
   }
 
-  // -- Deferred-counter helpers -----------------------------------------------
-  void segEnter(uint32_t First) {
+  // -- Counting-segment helpers -----------------------------------------------
+  /// Index of the instruction that closes the segment starting at \p First:
+  /// the first call, terminator or Fault record (or the block's last
+  /// instruction in a malformed stream, which emitInst then declines).
+  uint32_t segmentLast(uint32_t First) const {
+    uint32_t J = First;
+    for (; J + 1 < N && !IsBlockStart[J + 1]; ++J)
+      if (DF.Insts[J].D >= DecodedOp::Call)
+        break;
+    return J;
+  }
+  /// An unprofiled segment's span and its two labels: the out-of-line cold
+  /// path and the resumption point after the horizon check.
+  struct ColdSeg {
+    uint32_t First, Last, Cold, Resume;
+  };
+  /// Opens the segment starting at \p First; r12 is still exact here.
+  /// Per-step code records the segment's base Total and first instruction
+  /// for the flush shim; fast code leaves that to its cold paths.
+  void segOpen(uint32_t First) {
+    SegFirst = First;
+    SegLast = segmentLast(First);
+    if (Profiled)
+      emitSegCells(First);
+  }
+  void emitSegCells(uint32_t First) {
     A.movMR(R15, OffBlockSnap, R12);
     A.movMI32(R15, OffBlockFirst, First);
-    SegFirst = First;
+  }
+  /// Unprofiled segment entry: registers the open segment's cold path and
+  /// emits its horizon check; the resumption point follows.
+  void segCheck() {
+    if (Profiled)
+      return;
+    Segs.push_back({SegFirst, SegLast, newLabel(), newLabel()});
+    emitHorizonCheck(Segs.back());
+    label(Segs.back().Resume);
+  }
+  /// r12 += L; leave for the cold path when the sum passes the horizon.
+  /// Runs before the residency loads, so the cold path's C call clobbers
+  /// nothing live.
+  void emitHorizonCheck(const ColdSeg &S) {
+    A.aluRI(0, R12, static_cast<int32_t>(S.Last - S.First + 1)); // add
+    A.aluRM(0x3B, R12, R15, OffHorizon);                           // cmp
+    jccTo(0x7, S.Cold);                                            // ja
+  }
+  /// Exit of a fault site at instruction CurI to StubFaultP. In fast code
+  /// (unprofiled, outside a copy) it first writes the segment cells the
+  /// flush reads and moves r12 back from the segment's end to the faulting
+  /// step; per-step code has both current already.
+  void emitFaultExit() {
+    if (!Profiled && !InCopy && CurI <= SegLast) {
+      A.leaRM(RAX, R12, -static_cast<int32_t>(SegLast - SegFirst + 1));
+      A.movMR(R15, OffBlockSnap, RAX); // the segment's base Total
+      A.movMI32(R15, OffBlockFirst, SegFirst);
+      if (SegLast != CurI)
+        A.aluRI(5, R12, static_cast<int32_t>(SegLast - CurI)); // sub
+    }
+    jmpTo(stub(StubFaultP));
+  }
+  /// Takes emitFaultExit on condition \p CC.
+  void faultJcc(uint8_t CC) {
+    if (Profiled || InCopy) {
+      jccTo(CC, stub(StubFaultP));
+      return;
+    }
+    size_t Skip = jccFwd(CC ^ 1); // x86 condition codes pair by the low bit
+    emitFaultExit();
+    bindFwd(Skip);
   }
   /// Static count table for the closed segment [SegFirst, LastIncl],
   /// added to ByOpcode / the load-store accumulators in one burst.
@@ -506,17 +601,31 @@ private:
   // Scratch for segFlush's per-opcode table.
   std::vector<uint32_t> OpCount;
   std::vector<uint16_t> OpTouched;
+  /// Unprofiled segments in emission order, and each block's entry segment
+  /// (for the loop thunks).
+  std::vector<ColdSeg> Segs;
+  std::vector<uint32_t> BlockSeg;
 
   const BlockRegMap *Cur = nullptr;
-  uint32_t CurBlock = 0, CurStart = 0, SegFirst = 0;
+  uint32_t CurBlock = 0, CurStart = 0, SegFirst = 0, SegLast = 0, CurI = 0;
+  /// Emitting a segment's cold per-step copy: per-step prologues, no
+  /// fusion, no residency.
+  bool InCopy = false;
   size_t NFused = 0;
 };
 
 void FunctionEmitter::emitStepPrologue(const DecodedInst &DI, uint32_t I) {
+  // Unprofiled fast code paid for its steps at segment entry.
+  if (!Profiled && !InCopy)
+    return;
   // inc r12; cmp r12, [r15+MaxSteps]; ja StubStep
   A.b(0x49); A.b(0xFF); A.b(0xC4);
   A.aluRM(0x3B, R12, R15, OffMaxSteps);
   jccTo(0x7, stub(StubStep)); // ja
+  // A cold copy always ends in the step-limit fault, and its segment's
+  // deadline poll already ran on the way in.
+  if (!Profiled)
+    return;
   // Every 64K steps: test r12w, r12w; jnz +5; call StubDeadline
   A.b(0x66); A.b(0x45); A.b(0x85); A.b(0xE4);
   A.b(0x75); A.b(0x05);
@@ -525,7 +634,7 @@ void FunctionEmitter::emitStepPrologue(const DecodedInst &DI, uint32_t I) {
   // in the file header. The profile shim still runs per memory step (the
   // sink's per-step attribution cannot be deferred); profiling disables
   // residency, so the clobbered pool is empty.
-  if (Profiled && (DI.Flags & DIFlagMem)) {
+  if (DI.Flags & DIFlagMem) {
     if (DI.Flags & DIFlagPtrProf)
       A.movRM(RCX, RBX, regOff(DI.A));
     else {
@@ -593,7 +702,8 @@ void FunctionEmitter::emitFcFlush(uint8_t Scratch) {
 /// After a call shim returns: reload Total, rebase the register-file and
 /// host-frame pointers (the callee may have grown either arena), open the
 /// post-call counting segment, restore CurFn (the callee overwrote it),
-/// check the fault mirror, re-establish residency, store the result.
+/// check the fault mirror, store the result to the register file, check the
+/// segment's horizon, re-establish residency.
 void FunctionEmitter::emitPostCall(Reg Result, uint32_t I) {
   A.movRM(R12, R15, OffTotal);
   A.movMR(RSP, 16, R12); // restart the FC.Total delta
@@ -602,18 +712,20 @@ void FunctionEmitter::emitPostCall(Reg Result, uint32_t I) {
   A.b(0x48); A.b(0x8D); A.b(0x1C); A.b(0xCB); // lea rbx, [rbx+rcx*8]
   A.movRM(R13, R15, OffStackData);
   A.aluRM(0x03, R13, RSP, 8); // add r13, [rsp+8] (FrameOff)
-  // Open the resumption segment BEFORE the fault check: the fault path
-  // computes its flush count from BlockSnap, which still holds the
-  // callee's value until here (count is then r12 - r12 = 0 — the call
-  // instruction itself was already statically flushed before the shim).
-  segEnter(I + 1);
   A.movMI32(R15, OffCurFn, DF.Id);
-  // cmp qword [r15+FaultCell], 0 ; jnz StubFaultP
+  // A fault raised in the callee unwinds with nothing to settle here: the
+  // call step was statically flushed before the shim, and the resumption
+  // segment has not counted anything yet.
+  // cmp qword [r15+FaultCell], 0 ; jnz StubFault
   A.b(0x49); A.b(0x83); A.mem(7, R15, OffFault); A.b(0x00);
-  jccTo(0x5, stub(StubFaultP));
-  reloadAll();
+  jccTo(0x5, stub(StubFault));
+  // Into memory, not a pool slot: the horizon check's cold path may call
+  // out, and its per-step copy reads every operand from the register file.
   if (Result != NoReg)
-    storeFromGP(Result, RAX);
+    A.movMR(RBX, regOff(Result), RAX);
+  segOpen(I + 1);
+  segCheck();
+  reloadAll();
 }
 
 /// Tail of a memory-shim call: residency must already be written back and
@@ -627,14 +739,14 @@ void FunctionEmitter::emitMemShimCall(const DecodedInst &DI, bool IsStore) {
     A.movRR(RDI, R15);
     A.callM(R15, offsetof(JitRT, HelpStore));
     A.testRR(RAX, RAX);
-    jccTo(0x5, stub(StubFaultP)); // jnz
+    faultJcc(0x5); // jnz
     reloadAll();
   } else {
     A.movRI32(RDX, static_cast<uint32_t>(DI.MemTy));
     A.movRR(RDI, R15);
     A.callM(R15, offsetof(JitRT, HelpLoad));
     A.testRR(RDX, RDX);
-    jccTo(0x5, stub(StubFaultP));
+    faultJcc(0x5);
     reloadAll();
     storeFromGP(DI.Result, RAX);
   }
@@ -664,12 +776,14 @@ void FunctionEmitter::emitAccess(const DecodedInst &DI, uint8_t AddrReg,
 
 /// Superinstruction recognition over the decoded stream at emit time, for
 /// the adjacent pairs where a native template wins (flag reuse, immediate
-/// folding, product residency); this is rpcc's only fusion. Both
-/// constituent steps run their full counting prologue first, then the pair
-/// executes; the only divergence from the fast path is post-fault register
-/// contents, which nothing can observe.
+/// folding, product residency); this is rpcc's only fusion. A pair counts
+/// as two steps of its segment. Profiled code runs both steps' prologues
+/// first, then the pair; unprofiled code never stops between the halves,
+/// because a step limit inside the segment runs the per-step copy, which
+/// does not fuse. The only divergence from the fast path is post-fault
+/// register contents, which nothing can observe.
 uint32_t FunctionEmitter::emitFused(uint32_t I) {
-  if (I + 1 >= N || IsBlockStart[I + 1])
+  if (InCopy || I + 1 >= N || IsBlockStart[I + 1])
     return 0;
   const DecodedInst &DI = DF.Insts[I];
   const DecodedInst &NX = DF.Insts[I + 1];
@@ -834,6 +948,7 @@ uint32_t FunctionEmitter::emitInst(uint32_t I) {
     return Consumed;
 
   const DecodedInst &DI = DF.Insts[I];
+  CurI = I;
   emitStepPrologue(DI, I);
 
   auto intBin = [&](uint8_t Opc) {
@@ -899,7 +1014,7 @@ uint32_t FunctionEmitter::emitInst(uint32_t I) {
     A.callM(R15, static_cast<int32_t>(IsRem ? offsetof(JitRT, HelpRem)
                                             : offsetof(JitRT, HelpDiv)));
     A.testRR(RDX, RDX);
-    jccTo(0x5, stub(StubFaultP)); // jnz: prologue-complete fault
+    faultJcc(0x5); // jnz: prologue-complete fault
     reloadAll();
     bindFwd(ToDone0);
     if (IsRem)
@@ -1062,14 +1177,14 @@ uint32_t FunctionEmitter::emitInst(uint32_t I) {
       A.movRR(RDI, R15);
       A.callM(R15, offsetof(JitRT, HelpStore));
       A.testRR(RAX, RAX);
-      jccTo(0x5, stub(StubFaultP));
+      faultJcc(0x5);
       reloadAll();
     } else {
       A.movRI32(RDX, static_cast<uint32_t>(DI.MemTy));
       A.movRR(RDI, R15);
       A.callM(R15, offsetof(JitRT, HelpLoad));
       A.testRR(RDX, RDX);
-      jccTo(0x5, stub(StubFaultP));
+      faultJcc(0x5);
       reloadAll();
       storeFromGP(DI.Result, RAX);
     }
@@ -1223,7 +1338,7 @@ uint32_t FunctionEmitter::emitInst(uint32_t I) {
     A.movRR(RDI, R15);
     A.movRI32(RSI, static_cast<uint32_t>(DI.Imm)); // FaultMsgs index
     A.callM(R15, offsetof(JitRT, HelpFault));
-    jmpTo(stub(StubFaultP));
+    emitFaultExit();
     return 1;
   }
   // Fall-through template: the segment must continue into I + 1.
@@ -1246,6 +1361,8 @@ bool FunctionEmitter::emit() {
     IsBlockStart[S] = 1;
   }
   ThunkNeeded.assign(NB, 0);
+  BlockSeg.assign(NB, 0);
+  Segs.clear();
   OpCount.assign(static_cast<size_t>(NumOpcodes), 0);
   OpTouched.clear();
   Fixups.clear();
@@ -1278,13 +1395,15 @@ bool FunctionEmitter::emit() {
 
   uint32_t NextBlock = 0;
   for (uint32_t I = 0; I != N;) {
-    A.ensure(64);
+    A.ensure(128);
     label(I);
     if (NextBlock != NB && DF.BlockStarts[NextBlock] == I) {
       CurBlock = NextBlock++;
       Cur = &RA.Blocks[CurBlock];
       CurStart = I;
-      segEnter(I);
+      segOpen(I);
+      BlockSeg[CurBlock] = static_cast<uint32_t>(Segs.size());
+      segCheck();
       reloadAll(); // block-entry residency loads
       label(bodyLabel(CurBlock));
     } else if (IsBlockStart[I]) {
@@ -1300,15 +1419,50 @@ bool FunctionEmitter::emit() {
 
   // Single-block loop back edges land here: re-open the counting segment
   // but skip the block-entry loads — residency survives the iteration (the
-  // terminator's writeback keeps memory coherent at the edge).
+  // terminator's writeback keeps memory coherent at the edge, which is also
+  // why the cold path may resume at the block's loads). Only unprofiled
+  // code has residency, so every thunk has a horizon check.
   for (uint32_t B = 0; B != NB; ++B) {
     if (!ThunkNeeded[B])
       continue;
     A.ensure(32);
     label(thunkLabel(B));
-    A.movMR(R15, OffBlockSnap, R12);
-    A.movMI32(R15, OffBlockFirst, DF.BlockStarts[B]);
+    emitHorizonCheck(Segs[BlockSeg[B]]);
     jmpTo(bodyLabel(B));
+  }
+
+  // Segment cold paths, out of line after the hot body. r12 holds the
+  // segment's end total and none of its steps has run. The shim returns 0
+  // (resume the fast code), 1 (deadline fault: unwind at the segment's
+  // base with nothing to settle) or 2 (MaxSteps falls inside: run the
+  // per-step copy from the base). The copy covers every step but the
+  // closing one; reaching that step's prologue means it overflows, so no
+  // closing template is needed.
+  for (const ColdSeg &S : Segs) {
+    const int32_t L = static_cast<int32_t>(S.Last - S.First + 1);
+    A.ensure(64);
+    label(S.Cold);
+    A.movRR(RSI, R12);
+    A.movRI32(RDX, static_cast<uint32_t>(L));
+    A.movRR(RDI, R15);
+    A.callM(R15, offsetof(JitRT, HelpSegment));
+    A.testRR(RAX, RAX);
+    jccTo(0x4, S.Resume); // jz
+    A.aluRI(5, R12, L);   // sub: back to the segment's base
+    A.aluRI(7, RAX, 1);   // cmp
+    jccTo(0x4, stub(StubFault)); // je: deadline
+    emitSegCells(S.First);
+    Cur = nullptr;
+    InCopy = true;
+    SegFirst = S.First;
+    SegLast = S.Last;
+    for (uint32_t J = S.First; J != S.Last; ++J)
+      if (emitInst(J) != 1)
+        return false;
+    InCopy = false;
+    A.ensure(16);
+    A.b(0x49); A.b(0xFF); A.b(0xC4); // inc r12
+    jmpTo(stub(StubStep));
   }
 
   A.ensure(512); // the stubs
@@ -1330,39 +1484,28 @@ bool FunctionEmitter::emit() {
   A.callM(R15, offsetof(JitRT, HelpFlushCounters));
   jmpTo(stub(StubFault));
 
-  // Deadline poll (reached by call, so rsp is 8 past alignment here). The
-  // C call clobbers the caller-saved residency pool, and this stub runs
-  // every 64K steps mid-block — preserve the pool instead of forcing the
-  // prologues to write back.
-  label(stub(StubDeadline));
-  A.b(0x56);            // push rsi
-  A.b(0x57);            // push rdi
-  A.b(0x41); A.b(0x50); // push r8
-  A.b(0x41); A.b(0x51); // push r9
-  A.b(0x41); A.b(0x52); // push r10
-  A.b(0x41); A.b(0x53); // push r11
-  A.b(0x48); A.b(0x83); A.b(0xEC); A.b(0x08); // sub rsp, 8 (align)
-  A.movRR(RDI, R15);
-  A.callM(R15, offsetof(JitRT, HelpDeadline));
-  A.b(0x48); A.b(0x83); A.b(0xC4); A.b(0x08); // add rsp, 8
-  A.testRR(RAX, RAX);
-  size_t ToDeadFault = jccFwd(0x5); // jnz
-  A.b(0x41); A.b(0x5B); // pop r11
-  A.b(0x41); A.b(0x5A); // pop r10
-  A.b(0x41); A.b(0x59); // pop r9
-  A.b(0x41); A.b(0x58); // pop r8
-  A.b(0x5F);            // pop rdi
-  A.b(0x5E);            // pop rsi
-  A.b(0xC3);
-  bindFwd(ToDeadFault);
-  // Drop the saved pool and the return address (48 + 8), landing back at
-  // the body's stack level where [rsp+16] is the delta slot again; the
-  // deadline-striking step is excluded exactly like the step-limit one.
-  A.b(0x48); A.b(0x83); A.b(0xC4); A.b(56); // add rsp, 56
-  jmpTo(stub(StubFaultLimit));
+  // Profiled code's per-step deadline poll, reached by call (so rsp is 8
+  // past alignment here). Profiling disables residency, so the C call
+  // clobbers nothing live.
+  if (Profiled) {
+    label(stub(StubDeadline));
+    A.b(0x48); A.b(0x83); A.b(0xEC); A.b(0x08); // sub rsp, 8 (align)
+    A.movRR(RDI, R15);
+    A.callM(R15, offsetof(JitRT, HelpDeadline));
+    A.b(0x48); A.b(0x83); A.b(0xC4); A.b(0x08); // add rsp, 8
+    A.testRR(RAX, RAX);
+    size_t ToDeadFault = jccFwd(0x5); // jnz
+    A.b(0xC3);
+    bindFwd(ToDeadFault);
+    // Drop the return address, landing back at the body's stack level where
+    // [rsp+16] is the delta slot again; the deadline-striking step is
+    // excluded exactly like the step-limit one.
+    A.b(0x48); A.b(0x83); A.b(0xC4); A.b(0x08); // add rsp, 8
+    jmpTo(stub(StubFaultLimit));
+  }
 
-  // Prologue-complete faults (memory, div/rem, Fault records, post-call):
-  // the faulting step is fully counted, so no decrement.
+  // Prologue-complete faults (memory, div/rem, Fault records): the faulting
+  // step is fully counted, so no decrement.
   label(stub(StubFaultP));
   A.movRR(RSI, R12);
   A.aluRM(0x2B, RSI, R15, OffBlockSnap);
@@ -1399,27 +1542,28 @@ bool FunctionEmitter::emit() {
 
 namespace {
 
-/// Per-function compile metrics, incremented under the program's compile
-/// lock — exactly once per (cached program, function), which keeps the
-/// stable ones --jobs-invariant.
+/// Compile-side metrics, counted per run by JitProgram::recordRun over the
+/// functions the run used, so a run that found its code cached counts the
+/// same as the run that compiled it.
 struct JitCompileMetrics {
   Histogram CodeBytes;
   Counter Functions, Declines, FusedPairs, ResidentRegs;
   JitCompileMetrics() {
     auto &R = MetricsRegistry::global();
     CodeBytes = R.histogram("jit.code_bytes", {}, MetricStability::Stable,
-                            "bytes", "Emitted machine code per function.");
+                            "bytes",
+                            "Emitted machine code per function entered.");
     Functions = R.counter("jit.functions", {}, MetricStability::Stable, "ops",
-                          "Functions compiled to native code.");
+                          "Functions a run entered as native code.");
     Declines = R.counter("jit.declines", {}, MetricStability::Stable, "ops",
-                         "Functions declined to the fast-path fallback.");
+                         "Functions a run ran on the fast-path fallback.");
     FusedPairs = R.counter("jit.fused_pairs", {}, MetricStability::Stable,
                            "ops", "Superinstruction pairs fused by the "
-                                  "emitter (static, per compile).");
+                                  "emitter (static, per function run).");
     ResidentRegs = R.counter(
         "jit.regalloc_resident_regs", {}, MetricStability::Stable, "ops",
         "Block-local IL registers granted host-register residency "
-        "(static, per compile).");
+        "(static, per function run).");
   }
 };
 
@@ -1443,7 +1587,6 @@ JitProgram::Entry JitProgram::compile(const DecodedFunction &DF,
     return nullptr;
   if (!DF.HasBody || DF.Insts.empty()) {
     Declined[F].store(1, std::memory_order_release);
-    compileMetrics().Declines.inc();
     return nullptr;
   }
 
@@ -1470,7 +1613,6 @@ JitProgram::Entry JitProgram::compile(const DecodedFunction &DF,
   FunctionEmitter FE(DF, GlobalSize, Profiled, RA, A);
   if (!FE.emit()) {
     Declined[F].store(1, std::memory_order_release);
-    compileMetrics().Declines.inc();
     Done();
     return nullptr;
   }
@@ -1492,20 +1634,29 @@ JitProgram::Entry JitProgram::compile(const DecodedFunction &DF,
   }
 
   Chunks.push_back({static_cast<uint8_t *>(Mem), Size});
-  NCompiled.fetch_add(1, std::memory_order_relaxed);
-  NCodeBytes.fetch_add(Size, std::memory_order_relaxed);
-  NFusedPairs.fetch_add(FE.fusedPairs(), std::memory_order_relaxed);
-  NResidentRegs.fetch_add(RA.ResidentRegs, std::memory_order_relaxed);
-  JitCompileMetrics &JM = compileMetrics();
-  JM.CodeBytes.observe(Size);
-  JM.Functions.inc();
-  if (FE.fusedPairs())
-    JM.FusedPairs.inc(FE.fusedPairs());
-  if (RA.ResidentRegs)
-    JM.ResidentRegs.inc(RA.ResidentRegs);
+  Stats[F] = {static_cast<uint32_t>(Size),
+              static_cast<uint32_t>(FE.fusedPairs()),
+              static_cast<uint32_t>(RA.ResidentRegs)};
   Entries[F].store(Mem, std::memory_order_release);
   Done();
   return reinterpret_cast<Entry>(Mem);
+}
+
+void JitProgram::recordRun(const std::vector<uint8_t> &Use) const {
+  JitCompileMetrics &JM = compileMetrics();
+  for (size_t F = 0; F != Use.size() && F != Stats.size(); ++F) {
+    if (Use[F] == RanFallback) {
+      JM.Declines.inc();
+    } else if (Use[F] == RanNative) {
+      const FuncStats &S = Stats[F];
+      JM.Functions.inc();
+      JM.CodeBytes.observe(S.CodeBytes);
+      if (S.FusedPairs)
+        JM.FusedPairs.inc(S.FusedPairs);
+      if (S.ResidentRegs)
+        JM.ResidentRegs.inc(S.ResidentRegs);
+    }
+  }
 }
 
 #endif // RPCC_JIT_AVAILABLE

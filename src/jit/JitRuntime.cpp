@@ -1,10 +1,11 @@
 //===- jit/JitRuntime.cpp - Shims between emitted code and the Machine ----===//
 //
 // Everything with observable semantics goes through here: memory access,
-// div/rem guards, fpToIntSat, calls, profiling, budget faults, and the
-// deferred-counter flush walk. Each shim is a thin extern "C" wrapper over
-// the exact Machine service both interpreter engines use, so fault messages
-// and counting stay byte-identical by construction. The call shims are also
+// div/rem guards, fpToIntSat, calls, profiling, budget faults (including the
+// segment-entry horizon check's cold path), and the deferred-counter flush
+// walk. Each shim is a thin extern "C" wrapper over the exact Machine
+// service both interpreter engines use, so fault messages and counting stay
+// byte-identical by construction. The call shims are also
 // where the counter hand-off happens: Counters.Total crosses from
 // JitRT::TotalCell into the Machine before the callee runs and back after,
 // mirroring the fast path's flush/reload pair around calls.
@@ -23,6 +24,8 @@
 
 #include "interp/Machine.h"
 #include "support/Arith.h"
+
+#include <algorithm>
 
 using namespace rpcc;
 
@@ -50,6 +53,9 @@ struct JitBridge {
   static const InterpOptions &opts(const Machine &M) { return M.Opts; }
   static bool profiled(const Machine &M) { return M.Prof != nullptr; }
   static JitProgram *jp(Machine &M) { return M.JP.get(); }
+  static void markNative(Machine &M, FuncId F) {
+    M.JitUse[F] = JitProgram::RanNative;
+  }
   static bool frameBudget(Machine &M, size_t FrameSize) {
     return M.checkFrameBudget(FrameSize);
   }
@@ -188,6 +194,7 @@ bool jitCallFast(JitRT *RT, uint64_t Callee, uint64_t ArgPoolOff,
   RT->RegArenaData = RA.data();
   RT->StackData = SM.data();
   RT->StackSize = SM.size();
+  JitBridge::markNative(M, static_cast<FuncId>(Callee));
   const uint64_t V = E(RT, RegBase, FrameOff);
   // Shrinking never reallocates, so the data cells stay valid; only the
   // stack bound and the fault flag (the callee may have raised through a
@@ -256,6 +263,21 @@ extern "C" uint64_t rpccJitDeadline(JitRT *RT) {
   return JitBridge::deadline(*RT->M);
 }
 
+/// Cold path of an unprofiled counting segment of \p Len steps whose end
+/// total \p End passed JitRT::Horizon; none of its steps has run yet. Polls
+/// the wall deadline when the segment crosses a 64K step boundary (the
+/// cadence both interpreters poll at, moved to the boundary's segment
+/// entry), then re-arms the horizon. Returns 0 to run the segment's fast
+/// code, 1 when the deadline fault was raised, and 2 when MaxSteps falls
+/// inside the segment, so its per-step copy must run to the exact faulting
+/// step.
+extern "C" uint64_t rpccJitSegment(JitRT *RT, uint64_t End, uint64_t Len) {
+  if ((End >> 16) != ((End - Len) >> 16) && JitBridge::deadline(*RT->M))
+    return 1;
+  RT->Horizon = std::min(RT->MaxSteps, End | 0xFFFF);
+  return End > RT->MaxSteps ? 2 : 0;
+}
+
 extern "C" void rpccJitStepLimit(JitRT *RT) {
   JitBridge::err(*RT->M).raise("step limit exceeded (infinite loop?)");
 }
@@ -308,6 +330,7 @@ void rpcc::initJitRuntime(JitRT &RT, Machine *M) {
   RT.HelpCall = reinterpret_cast<const void *>(&rpccJitCall);
   RT.HelpCallInd = reinterpret_cast<const void *>(&rpccJitCallInd);
   RT.HelpDeadline = reinterpret_cast<const void *>(&rpccJitDeadline);
+  RT.HelpSegment = reinterpret_cast<const void *>(&rpccJitSegment);
   RT.HelpStepLimit = reinterpret_cast<const void *>(&rpccJitStepLimit);
   RT.HelpFault = reinterpret_cast<const void *>(&rpccJitFault);
   RT.HelpProfile = reinterpret_cast<const void *>(&rpccJitProfile);

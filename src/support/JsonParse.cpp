@@ -243,26 +243,34 @@ private:
     return setErr("unterminated string");
   }
 
+  /// Consumes a run of decimal digits; returns how many.
+  size_t digits() {
+    const size_t Start = Pos;
+    while (Pos < S.size() && S[Pos] >= '0' && S[Pos] <= '9')
+      ++Pos;
+    return Pos - Start;
+  }
+
+  /// RFC 8259 number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   bool number(JsonValue &Out) {
     size_t Start = Pos;
     if (Pos < S.size() && S[Pos] == '-')
       ++Pos;
-    size_t DigitStart = Pos;
-    while (Pos < S.size() && S[Pos] >= '0' && S[Pos] <= '9')
-      ++Pos;
-    if (Pos == DigitStart)
+    const size_t IntStart = Pos;
+    const size_t IntDigits = digits();
+    if (IntDigits == 0 || (IntDigits > 1 && S[IntStart] == '0'))
       return setErr("malformed number");
     if (Pos < S.size() && S[Pos] == '.') {
       ++Pos;
-      while (Pos < S.size() && S[Pos] >= '0' && S[Pos] <= '9')
-        ++Pos;
+      if (digits() == 0)
+        return setErr("malformed number");
     }
     if (Pos < S.size() && (S[Pos] == 'e' || S[Pos] == 'E')) {
       ++Pos;
       if (Pos < S.size() && (S[Pos] == '+' || S[Pos] == '-'))
         ++Pos;
-      while (Pos < S.size() && S[Pos] >= '0' && S[Pos] <= '9')
-        ++Pos;
+      if (digits() == 0)
+        return setErr("malformed number");
     }
     Out.K = JsonValue::Number;
     Out.Num = std::strtod(S.c_str() + Start, nullptr);

@@ -278,4 +278,131 @@ TEST(EngineParityTest, FusedPairStepLimitSweepMatches) {
   }
 }
 
+// -- Segment-granular budgets in the jit --------------------------------------
+// Unprofiled jit code checks MaxSteps once per counting segment (a block,
+// split at calls) and runs a per-step copy of the segment the limit falls
+// inside; in between, its step counter runs ahead of the executed steps and
+// every mid-segment fault site moves it back. These sweeps put the limit on
+// each step of program prefixes, around the 64K deadline-poll boundaries,
+// inside segments that end in calls, and inside segments whose memory
+// access or division faults (the earlier fault must win), and compare every
+// counter against the per-step engines.
+
+/// Runs \p M on the fast path and on the jit under \p O; the jit must
+/// match bit for bit.
+void expectJitMatchesFastPath(const Module &M, InterpOptions O,
+                              const std::string &What) {
+  O.Engine = InterpEngine::FastPath;
+  ExecResult Fp = interpret(M, O);
+  O.Engine = InterpEngine::Jit;
+  expectSameResult(Fp, interpret(M, O), What + " {jit}");
+}
+
+TEST(EngineParityTest, GeneratedProgramStepLimitPropertyMatches) {
+  if (!jitSupported())
+    GTEST_SKIP() << "no jit on this host/build";
+  for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
+    // Generated programs stay far below 64K steps, so the boundary sweeps
+    // run the generated main repeatedly from a wrapper until the run
+    // crosses two of them.
+    std::string Src = generateProgram(Seed);
+    const size_t MainAt = Src.find("int main()");
+    ASSERT_NE(MainAt, std::string::npos);
+    Src.replace(MainAt, 10, "int gen_main()");
+    Module Once;
+    std::string Err;
+    ASSERT_TRUE(compileToIL(Src + "int main() { return gen_main(); }\n",
+                            Once, Err))
+        << Err;
+    InterpOptions Full;
+    Full.Engine = InterpEngine::FastPath;
+    const uint64_t PerRun = interpret(Once, Full).Counters.Total;
+    ASSERT_GT(PerRun, 0u);
+    Module Looped;
+    ASSERT_TRUE(compileToIL(
+        Src + "int main() { int k; int s; s = 0;\n"
+              "  for (k = 0; k < " +
+            std::to_string(2 * 65536 / PerRun + 2) +
+            "; k++) s = s ^ gen_main();\n"
+            "  return s; }\n",
+        Looped, Err))
+        << Err;
+
+    const std::string What = "seed " + std::to_string(Seed);
+    for (uint64_t L = 0; L <= 300; ++L) {
+      InterpOptions O;
+      O.MaxSteps = L;
+      expectJitMatchesFastPath(Once, O, What + " step limit " +
+                                            std::to_string(L));
+      if (HasFailure())
+        return;
+    }
+    for (uint64_t B : {uint64_t(65536), uint64_t(2 * 65536)})
+      for (uint64_t L = B - 6; L <= B + 9; ++L) {
+        InterpOptions O;
+        O.MaxSteps = L;
+        expectJitMatchesFastPath(Looped, O, What + " looped, step limit " +
+                                                std::to_string(L));
+        if (HasFailure())
+          return;
+      }
+  }
+}
+
+TEST(EngineParityTest, StepLimitInsideCallSegmentsMatches) {
+  // Every loop-body segment ends in a call, so each cutoff lands either in
+  // a call-closed segment or on the call step itself.
+  Module M = compileOrDie(
+      "int g;\n"
+      "int bump(int x) { g = g + x; return x + 1; }\n"
+      "int main() { int i; int s; s = 0; g = 0;\n"
+      "  for (i = 0; i < 1000; i++) {\n"
+      "    s = s + i * 3; s = bump(s); s = s ^ i;\n"
+      "    s = bump(s) - bump(i); }\n"
+      "  return s + g; }");
+  for (uint64_t Limit = 1; Limit <= 200; ++Limit) {
+    InterpOptions O;
+    O.MaxSteps = Limit;
+    expectParity(M, O, "call-segment step limit " + std::to_string(Limit));
+  }
+}
+
+TEST(EngineParityTest, StepLimitRacingMidSegmentFaultsMatches) {
+  // In each program one loop-body segment faults in its middle on the
+  // sixth iteration: a load through a pointer that turned null, a store
+  // through it, a division by zero. Sweeping the limit up to and past the
+  // fault puts it before, on and after the faulting step.
+  const char *Srcs[] = {
+      "int A[8]; int *p;\n"
+      "int main() { int i; int s; s = 1; p = A;\n"
+      "  for (i = 0; i < 100; i++) {\n"
+      "    s = s + i; s = s * 3; s = s + *p; s = s - i; A[i % 8] = s;\n"
+      "    if (i == 4) p = (int *)0; }\n"
+      "  return s; }",
+      "int A[8]; int *p;\n"
+      "int main() { int i; int s; s = 1; p = A;\n"
+      "  for (i = 0; i < 100; i++) {\n"
+      "    s = s + i; s = s * 3; *p = s; s = s - i; A[i % 8] = s;\n"
+      "    if (i == 4) p = (int *)0; }\n"
+      "  return s; }",
+      "int main() { int i; int s; s = 1;\n"
+      "  for (i = 0; i < 100; i++) {\n"
+      "    s = s + i; s = s * 3; s = s + 100 / (5 - i); s = s - i; }\n"
+      "  return s; }",
+  };
+  for (const char *Src : Srcs) {
+    Module M = compileOrDie(Src);
+    ExecResult Ref = interpret(M);
+    ASSERT_FALSE(Ref.Ok) << Src;
+    for (uint64_t Limit = 1; Limit <= Ref.Counters.Total + 3; ++Limit) {
+      InterpOptions O;
+      O.MaxSteps = Limit;
+      expectParity(M, O, "faulting-segment step limit " +
+                             std::to_string(Limit) + " in\n" + Src);
+      if (HasFailure())
+        return;
+    }
+  }
+}
+
 } // namespace

@@ -113,9 +113,9 @@ if(NOT SANDBOX_CANON MATCHES "jobs.child_wall_us count=8")
 endif()
 
 # Default-engine (jit) runs must surface the compile-side counters in the
-# canon (values are per-compile statics, so they survived the
-# jobs-invariance compare above), and the volatile cache-hit split must
-# stay out of it.
+# canon (each run adds the static figures of the functions it entered
+# natively, so they survived the jobs-invariance compare above), and the
+# volatile cache-hit split must stay out of it.
 if(JIT_ENGINE)
   metrics_canon(plain1.json JIT_CANON)
   foreach(NEEDED jit.functions jit.fused_pairs jit.regalloc_resident_regs)

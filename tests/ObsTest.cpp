@@ -546,14 +546,13 @@ TEST(Metrics, ExpositionShapes) {
 
 // Two runs of the same suite workload — serial and parallel — must project
 // to identical canon strings, the metrics mirror of the rpjson trace canon.
-// The legs share one process, so they run on the interpreted default: the
-// jit counts its compile-side metrics once per program in its process-wide
-// code cache, and the second leg would find that cache warm. The jit's
-// canon is compared across --jobs in fresh processes by metrics_json_diff.
+// The legs share one process on the default engine: the second leg finds
+// the jit's process-wide code cache warm, and the jit's compile-side
+// metrics, counted per run over the functions each run entered, must not
+// notice.
 TEST(Metrics, SuiteCanonIsJobsIndependent) {
   MetricsRegistry &R = MetricsRegistry::global();
   SuiteOptions Opts;
-  Opts.Interp.Engine = DefaultInterpretedEngine;
   std::string Canon[2];
   for (int Leg = 0; Leg != 2; ++Leg) {
     R.reset();
@@ -568,6 +567,11 @@ TEST(Metrics, SuiteCanonIsJobsIndependent) {
   EXPECT_EQ(Canon[0], Canon[1]);
   EXPECT_NE(Canon[0].find("suite.cells 4"), std::string::npos) << Canon[0];
   EXPECT_NE(Canon[0].find("pool.items 4"), std::string::npos) << Canon[0];
+  if (Opts.Interp.Engine == InterpEngine::Jit) {
+    EXPECT_NE(Canon[0].find("jit.functions "), std::string::npos) << Canon[0];
+    EXPECT_EQ(Canon[0].find("jit.functions 0\n"), std::string::npos)
+        << Canon[0];
+  }
   R.reset();
 }
 

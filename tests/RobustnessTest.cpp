@@ -278,9 +278,10 @@ TEST(InterpBudgetTest, FrameBudgetFaultIsEngineIdentical) {
 }
 
 TEST(InterpBudgetTest, WallDeadlineFaultsBothEngines) {
-  // The deadline is checked at the same program points in both engines, but
-  // when the clock trips is nondeterministic, so only the message is
-  // compared — not the step count.
+  // The interpreters poll the deadline on every 64K-th step; the jit polls
+  // it at the entry of the counting segment that crosses such a step. When
+  // the clock trips is nondeterministic, so only the message is compared —
+  // not the step count.
   Module M;
   std::string Err;
   ASSERT_TRUE(compileToIL("int main() { int i; i = 0;\n"
@@ -297,6 +298,18 @@ TEST(InterpBudgetTest, WallDeadlineFaultsBothEngines) {
   EXPECT_EQ(A.Error, B.Error);
   EXPECT_GT(A.Counters.Total, 0u) << "partial counts must survive the fault";
   EXPECT_GT(B.Counters.Total, 0u);
+  if (jitSupported()) {
+    ExecResult C = runEngine(M, Opts, InterpEngine::Jit);
+    EXPECT_FALSE(C.Ok);
+    EXPECT_EQ(A.Error, C.Error);
+    EXPECT_GT(C.Counters.Total, 0u);
+    // The jit's poll strikes between two steps, so every counted step is in
+    // ByOpcode.
+    uint64_t Sum = 0;
+    for (uint64_t N : C.Counters.ByOpcode)
+      Sum += N;
+    EXPECT_EQ(Sum, C.Counters.Total);
+  }
 }
 
 TEST(InterpFaultTest, FaultsStillReportCounters) {

@@ -97,7 +97,17 @@ set(CASES
   "bench|bench-wall-negative.json|bench results[0]: wall_ms is negative"
   "bench|bench-compile-ms-type.json|bench results[1]: key 'compile_ms' has wrong type"
   "bench|bench-missing-key.json|bench results[1]: missing key 'program'"
+  "bench|bench-interp-commit-missing.json|bench: missing key 'commit'"
+  "bench|bench-interp-nproc.json|bench: nproc must be at least 1"
+  "bench|bench-interp-median-missing.json|bench results[1]: missing key 'median_ms'"
+  "bench|bench-interp-runs.json|bench results[1]: runs must be at least 1"
+  "bench|bench-interp-spread-order.json|bench results[1]: wall_ms <= median_ms <= max_ms does not hold"
   "bench|work/deep.json|bench: nesting too deep"
+  "bench|bench-number-bare-point.json|bench: malformed number at offset 10"
+  "bench|bench-number-bare-exponent.json|bench: malformed number at offset 68"
+  "bench|bench-number-bare-exponent-sign.json|bench: malformed number at offset 69"
+  "bench|bench-number-leading-zero.json|bench: malformed number at offset 10"
+  "bench|bench-number-negative-leading-zero.json|bench: malformed number at offset 141"
   "remarks|work/deep.jsonl|remarks line 1: nesting too deep"
   "bench-served|bench-served-warm-rps.json|bench-served: warm_rps does not match its row"
   "bench-served|bench-served-fork-rps.json|bench-served: fork_rps does not match its row"

@@ -349,6 +349,24 @@ TEST_F(ServedSocketTest, SuiteRejectsNamesOutsideTheBenchmarkCorpus) {
   EXPECT_EQ(R.Status, 400);
 }
 
+TEST_F(ServedSocketTest, NonJsonNumberInBodyGets400Envelope) {
+  startServer(ServerOptions());
+  HttpClient C;
+  ASSERT_TRUE(connectClient(C));
+  HttpClientResponse R;
+  // A leading zero is not JSON: the body is refused at the JSON layer with
+  // the error envelope, before any field is read.
+  ASSERT_TRUE(C.request("POST", "/compile",
+                        "{\"source\":\"int main() { return 0; }\",\"registers\""
+                        ":016}",
+                        R));
+  EXPECT_EQ(R.Status, 400);
+  EXPECT_NE(R.Body.find("\"status\":\"error\""), std::string::npos) << R.Body;
+  EXPECT_NE(R.Body.find("malformed JSON body: malformed number"),
+            std::string::npos)
+      << R.Body;
+}
+
 TEST_F(ServedSocketTest, RunRejectsOutOfRangeMaxSteps) {
   startServer(ServerOptions());
   HttpClient C;

@@ -199,6 +199,17 @@ TEST(JsonParseTest, RejectsMalformedNumbers) {
   EXPECT_EQ(jsonError("-0.5e+3"), "");
 }
 
+TEST(JsonParseTest, NumbersFollowRfc8259) {
+  // A fraction and an exponent each need at least one digit, and an
+  // integer part longer than one digit must not start with 0.
+  for (const char *Bad : {"1.", "1e", "1E", "1e+", "1e-", "1.e5", "01", "-01",
+                          "00", "-", "[1.]", "{\"a\":01}"})
+    EXPECT_TRUE(mentions(jsonError(Bad), "malformed number")) << Bad;
+  for (const char *Good : {"0", "-0", "10", "0.5", "-0.0", "1e5", "1E+5",
+                           "1e-0", "120.25e-3", "[0,1,20]"})
+    EXPECT_EQ(jsonError(Good), "") << Good;
+}
+
 TEST(JsonParseTest, DecodesBmpEscapesAsUtf8) {
   JsonValue V;
   std::string Err;

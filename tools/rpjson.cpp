@@ -741,12 +741,20 @@ int checkProm(const std::string &Text) {
 /// shared. Cross-row semantics are checked too: every engine must report
 /// the same step count for a program (the engines are observationally
 /// identical by contract), and the jit geomean must be present exactly
-/// when jit rows are.
+/// when jit rows are. An interp report also records its provenance (build
+/// type, commit, core count) and each row's spread over its timed runs,
+/// ordered wall_ms (the minimum) <= median_ms <= max_ms.
 const Shape BenchShape = {num("reps", 1), num("geomean_speedup"),
                           arr("results")};
 const Shape BenchRowShape = {str("program"), num("wall_ms", 0)};
 const Shape InterpRowShape = {str("engine", {"switch", "fastpath", "jit"}),
-                              num("steps"), optional(num("compile_ms", 0))};
+                              num("steps"),
+                              num("median_ms", 0),
+                              num("max_ms", 0),
+                              num("runs", 1),
+                              optional(num("compile_ms", 0))};
+const Shape InterpProvenanceShape = {str("build_type"), str("commit"),
+                                     num("nproc", 1)};
 const Shape CompileRowShape = {str("mode", {"uncached", "cached"})};
 
 int checkBench(const std::string &Text) {
@@ -758,7 +766,7 @@ int checkBench(const std::string &Text) {
   const JsonValue *Results = get(V, "results", Arr);
   if (Results && Results->Items.empty())
     C.problem("bench", "results is empty");
-  bool SawJit = false;
+  bool SawJit = false, SawInterp = false;
   std::map<std::string, double> StepsOf;
   auto Rules = [&](const JsonValue &R, const std::string &At, size_t) {
     bool HasEngine = R.field("engine"), HasMode = R.field("mode");
@@ -766,6 +774,13 @@ int checkBench(const std::string &Text) {
       C.problem(At, "row has both 'engine' and 'mode'");
     } else if (HasEngine) {
       C.checkFields(R, At, InterpRowShape);
+      SawInterp = true;
+      const JsonValue *Min = get(R, "wall_ms", Num);
+      const JsonValue *Median = get(R, "median_ms", Num);
+      const JsonValue *Max = get(R, "max_ms", Num);
+      if (Min && Median && Max &&
+          !(Min->Num <= Median->Num && Median->Num <= Max->Num))
+        C.problem(At, "wall_ms <= median_ms <= max_ms does not hold");
       const JsonValue *Engine = get(R, "engine", Str);
       SawJit |= Engine && Engine->Str == "jit";
       const JsonValue *Prog = get(R, "program", Str);
@@ -783,6 +798,8 @@ int checkBench(const std::string &Text) {
     }
   };
   C.forEachObject(Results, "bench results", BenchRowShape, Rules);
+  if (SawInterp)
+    C.checkFields(V, "bench", InterpProvenanceShape);
   if (SawJit)
     C.checkFields(V, "bench", {num("geomean_speedup_jit")});
   else if (V.field("geomean_speedup_jit"))
