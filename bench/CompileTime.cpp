@@ -16,6 +16,8 @@
 #include "driver/SuiteRunner.h"
 #include "frontend/Lowering.h"
 #include "promote/ScalarPromotion.h"
+#include "Provenance.h"
+#include "support/CommandLine.h"
 #include "support/Format.h"
 #include "support/Json.h"
 
@@ -139,11 +141,14 @@ BENCHMARK_CAPTURE(BM_CompileSuiteProgram, bison, std::string("bison"));
 // each program, one sweep compiles the four matrix configurations —
 // {MOD/REF, points-to} x {without, with promotion} — from scratch, and one
 // forks them from a fresh cache (frontend once, each analysis once). Each
-// sweep takes the best of --reps wall-clock samples and the raw results go
-// to BENCH_compile.json in the same shape as BENCH_interp.json:
-//   {"reps":N,"results":[{"program":..,"mode":"uncached"|"cached",
-//    "wall_ms":..}],"geomean_speedup":..}
-// Run from a Release build, like interp_throughput.
+// sweep is timed --reps times and the raw results go to BENCH_compile.json
+// in the same shape as BENCH_interp.json:
+//   {"reps":N,"build_type":..,"commit":..,"nproc":..,
+//    "results":[{"program":..,"mode":"uncached"|"cached","wall_ms":..,
+//    "median_ms":..,"max_ms":..,"runs":..}],"geomean_speedup":..}
+// wall_ms is the minimum of the row's runs, the figure the speedups use;
+// median_ms and max_ms give their spread. Run from a Release build, like
+// interp_throughput.
 
 std::vector<CompilerConfig> suiteMatrix() {
   std::vector<CompilerConfig> Out;
@@ -186,29 +191,31 @@ int runCacheBench(unsigned Reps, const std::string &JsonFile,
                   const std::vector<std::string> &Programs) {
   std::vector<CompilerConfig> Matrix = suiteMatrix();
   TextTable T({"program", "uncached ms", "cached ms", "speedup"});
-  std::string Json =
-      "{\"reps\":" + std::to_string(Reps) + ",\"results\":[";
+  std::string Json = "{\"reps\":" + std::to_string(Reps) + provenanceJson() +
+                     ",\"results\":[";
   double LogSum = 0;
   for (size_t PI = 0; PI != Programs.size(); ++PI) {
     const std::string &Name = Programs[PI];
     std::string Src = loadBenchProgram(Name);
-    double BestUncached = 1e300, BestCached = 1e300;
+    std::vector<double> UncachedMs, CachedMs;
     // Warmup: page in the source and fill allocator pools.
     sweepOnce(Src, Matrix, /*Cached=*/false);
     for (unsigned R = 0; R != Reps; ++R) {
-      BestUncached = std::min(BestUncached, sweepOnce(Src, Matrix, false));
-      BestCached = std::min(BestCached, sweepOnce(Src, Matrix, true));
+      UncachedMs.push_back(sweepOnce(Src, Matrix, false));
+      CachedMs.push_back(sweepOnce(Src, Matrix, true));
     }
-    double Speedup = BestUncached / BestCached;
+    RunSpread Uncached = spreadOf(std::move(UncachedMs));
+    RunSpread Cached = spreadOf(std::move(CachedMs));
+    double Speedup = Uncached.MinMs / Cached.MinMs;
     LogSum += std::log(Speedup);
-    T.addRow({Name, fixed(BestUncached, 3), fixed(BestCached, 3),
+    T.addRow({Name, fixed(Uncached.MinMs, 3), fixed(Cached.MinMs, 3),
               fixed(Speedup, 2)});
     if (PI)
       Json += ",";
     Json += "{\"program\":\"" + jsonEscape(Name) +
-            "\",\"mode\":\"uncached\",\"wall_ms\":" + fixed(BestUncached, 3) +
+            "\",\"mode\":\"uncached\"" + spreadJson(Uncached) +
             "},{\"program\":\"" + jsonEscape(Name) +
-            "\",\"mode\":\"cached\",\"wall_ms\":" + fixed(BestCached, 3) + "}";
+            "\",\"mode\":\"cached\"" + spreadJson(Cached) + "}";
   }
   double Geomean =
       Programs.empty()
@@ -239,12 +246,10 @@ int main(int argc, char **argv) {
     if (std::strcmp(A, "--cache-bench") == 0) {
       CacheBench = true;
     } else if (std::strncmp(A, "--reps=", 7) == 0) {
-      int V = std::atoi(A + 7);
-      if (V < 1) {
+      if (!parseUnsigned(A + 7, Reps) || Reps == 0) {
         std::fprintf(stderr, "error: bad --reps value '%s'\n", A + 7);
         return 2;
       }
-      Reps = static_cast<unsigned>(V);
     } else if (std::strncmp(A, "--json=", 7) == 0) {
       JsonFile = A + 7;
     } else if (std::strncmp(A, "--programs=", 11) == 0) {

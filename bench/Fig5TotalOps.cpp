@@ -10,6 +10,5 @@
 
 int main(int argc, char **argv) {
   return rpcc::runSuiteTable(rpcc::Metric::TotalOps,
-                             "Figure 5: Total Operations",
-                             rpcc::suiteTableJobs(argc, argv));
+                             "Figure 5: Total Operations", argc, argv);
 }

@@ -4,5 +4,5 @@
 
 int main(int argc, char **argv) {
   return rpcc::runSuiteTable(rpcc::Metric::Stores, "Figure 6: Stores",
-                             rpcc::suiteTableJobs(argc, argv));
+                             argc, argv);
 }

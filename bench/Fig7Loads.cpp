@@ -4,5 +4,5 @@
 
 int main(int argc, char **argv) {
   return rpcc::runSuiteTable(rpcc::Metric::Loads, "Figure 7: Loads",
-                             rpcc::suiteTableJobs(argc, argv));
+                             argc, argv);
 }

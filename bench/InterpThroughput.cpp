@@ -32,16 +32,16 @@
 
 #include "driver/Compiler.h"
 #include "driver/SuiteRunner.h"
+#include "Provenance.h"
+#include "support/CommandLine.h"
 #include "support/Format.h"
 #include "support/Json.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace rpcc;
@@ -52,12 +52,10 @@ struct Sample {
   std::string Program;
   InterpEngine Engine;
   uint64_t Steps = 0;
-  double BestMs = 0;
-  /// Spread of the timed runs (the warmup excluded).
-  double MedianMs = 0, MaxMs = 0;
-  unsigned Runs = 0;
+  /// The timed runs (the warmup excluded).
+  RunSpread Time;
   /// Lazy-compilation wall time of the warmup run — the only run that can
-  /// pay it when the code cache is on. Kept out of BestMs (the warmup never
+  /// pay it when the code cache is on. Kept out of Time (the warmup never
   /// enters the best-of pool) and reported separately so the JSON shows
   /// compile cost next to, not inside, steady-state throughput.
   double CompileMs = 0;
@@ -81,7 +79,6 @@ Sample measure(const std::string &Name, Module &M, InterpEngine E,
   Sample S;
   S.Program = Name;
   S.Engine = E;
-  S.BestMs = 1e300;
 
   auto runOnce = [&](bool Warmup) -> double {
     double T0 = timingNowMs();
@@ -115,32 +112,8 @@ Sample measure(const std::string &Name, Module &M, InterpEngine E,
   std::vector<double> Times;
   for (unsigned R = 0; R != N; ++R)
     Times.push_back(runOnce(/*Warmup=*/false));
-  std::sort(Times.begin(), Times.end());
-  S.BestMs = Times.front();
-  S.MaxMs = Times.back();
-  S.MedianMs = Times.size() % 2
-                   ? Times[Times.size() / 2]
-                   : (Times[Times.size() / 2 - 1] + Times[Times.size() / 2]) /
-                         2;
-  S.Runs = N;
+  S.Time = spreadOf(std::move(Times));
   return S;
-}
-
-/// `git describe --always --dirty` of the source tree, or "unknown".
-std::string sourceCommit() {
-  std::string Out;
-  if (FILE *P = popen("git -C \"" RPCC_SOURCE_DIR
-                      "\" describe --always --dirty 2>/dev/null",
-                      "r")) {
-    char Buf[128];
-    while (std::fgets(Buf, sizeof(Buf), P))
-      Out += Buf;
-    if (pclose(P) != 0)
-      Out.clear();
-  }
-  while (!Out.empty() && (Out.back() == '\n' || Out.back() == '\r'))
-    Out.pop_back();
-  return Out.empty() ? "unknown" : Out;
 }
 
 } // namespace
@@ -154,17 +127,14 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     const char *A = argv[I];
     if (std::strncmp(A, "--reps=", 7) == 0) {
-      int V = std::atoi(A + 7);
-      if (V < 1) {
+      if (!parseUnsigned(A + 7, Reps) || Reps == 0) {
         std::fprintf(stderr, "error: bad --reps value '%s'\n", A + 7);
         return 2;
       }
-      Reps = static_cast<unsigned>(V);
     } else if (std::strncmp(A, "--json=", 7) == 0) {
       JsonFile = A + 7;
     } else if (std::strncmp(A, "--min-jit-geomean=", 18) == 0) {
-      MinJitGeomean = std::atof(A + 18);
-      if (MinJitGeomean <= 0) {
+      if (!parseDouble(A + 18, MinJitGeomean) || MinJitGeomean <= 0) {
         std::fprintf(stderr, "error: bad --min-jit-geomean value '%s'\n",
                      A + 18);
         return 2;
@@ -221,30 +191,31 @@ int main(int argc, char **argv) {
                    Name.c_str());
       return 1;
     }
-    double Speedup = Sw.BestMs / Fp.BestMs;
+    double Speedup = Sw.Time.MinMs / Fp.Time.MinMs;
     LogSum += std::log(Speedup);
     // The jit's headline ratio is against the fast path — the engine it has
     // to beat — not the reference loop.
-    double JitSpeedup = Jit ? Fp.BestMs / Jt.BestMs : 0;
+    double JitSpeedup = Jit ? Fp.Time.MinMs / Jt.Time.MinMs : 0;
     if (Jit) {
       LogSumJit += std::log(JitSpeedup);
       // The jit must never lose to the engine it exists to beat; a loss on
       // any single program is a regression worth flagging even when the
       // geomean looks healthy.
-      if (Jt.BestMs > Fp.BestMs)
+      if (Jt.Time.MinMs > Fp.Time.MinMs)
         std::fprintf(stderr,
                      "warning: %s: jit (%.3f ms) slower than fastpath "
                      "(%.3f ms)\n",
-                     Name.c_str(), Jt.BestMs, Fp.BestMs);
+                     Name.c_str(), Jt.Time.MinMs, Fp.Time.MinMs);
     }
     ++NPrograms;
     auto MStepsPerSec = [&](const Sample &S) {
-      return static_cast<double>(S.Steps) / S.BestMs / 1e3;
+      return static_cast<double>(S.Steps) / S.Time.MinMs / 1e3;
     };
     std::vector<std::string> Row = {Name, withCommas(Sw.Steps),
-                                    fixed(Sw.BestMs, 3), fixed(Fp.BestMs, 3)};
+                                    fixed(Sw.Time.MinMs, 3),
+                                    fixed(Fp.Time.MinMs, 3)};
     if (Jit)
-      Row.push_back(fixed(Jt.BestMs, 3));
+      Row.push_back(fixed(Jt.Time.MinMs, 3));
     Row.insert(Row.end(),
                {fixed(MStepsPerSec(Sw), 2), fixed(MStepsPerSec(Fp), 2)});
     if (Jit)
@@ -274,10 +245,7 @@ int main(int argc, char **argv) {
 
   std::string Json;
   Json += "{\"reps\":" + std::to_string(Reps);
-  Json += ",\"build_type\":\"" + jsonEscape(RPCC_BUILD_TYPE) + "\"";
-  Json += ",\"commit\":\"" + jsonEscape(sourceCommit()) + "\"";
-  Json += ",\"nproc\":" +
-          std::to_string(std::max(1u, std::thread::hardware_concurrency()));
+  Json += provenanceJson();
   Json += ",\"results\":[";
   for (size_t I = 0; I != Results.size(); ++I) {
     const Sample &S = Results[I];
@@ -286,10 +254,7 @@ int main(int argc, char **argv) {
     Json += "{\"program\":\"" + jsonEscape(S.Program) + "\"";
     Json += ",\"engine\":\"" + std::string(interpEngineName(S.Engine)) + "\"";
     Json += ",\"steps\":" + std::to_string(S.Steps);
-    Json += ",\"wall_ms\":" + fixed(S.BestMs, 3);
-    Json += ",\"median_ms\":" + fixed(S.MedianMs, 3);
-    Json += ",\"max_ms\":" + fixed(S.MaxMs, 3);
-    Json += ",\"runs\":" + std::to_string(S.Runs);
+    Json += spreadJson(S.Time);
     Json += ",\"compile_ms\":" + fixed(S.CompileMs, 3) + "}";
   }
   Json += "],\"geomean_speedup\":" + fixed(Geomean, 3);

@@ -36,6 +36,7 @@
 #include "driver/SuiteRunner.h"
 #include "served/HttpClient.h"
 #include "served/Server.h"
+#include "support/CommandLine.h"
 #include "support/Format.h"
 #include "support/Json.h"
 
@@ -188,24 +189,19 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     const char *A = argv[I];
     if (std::strncmp(A, "--requests=", 11) == 0) {
-      int V = std::atoi(A + 11);
-      if (V < 1) {
+      if (!parseUnsigned(A + 11, Reqs) || Reqs == 0) {
         std::fprintf(stderr, "error: bad --requests value '%s'\n", A + 11);
         return 2;
       }
-      Reqs = static_cast<size_t>(V);
     } else if (std::strncmp(A, "--workers=", 10) == 0) {
-      int V = std::atoi(A + 10);
-      if (V < 1) {
+      if (!parseUnsigned(A + 10, Workers) || Workers == 0) {
         std::fprintf(stderr, "error: bad --workers value '%s'\n", A + 10);
         return 2;
       }
-      Workers = static_cast<unsigned>(V);
     } else if (std::strncmp(A, "--json=", 7) == 0) {
       JsonFile = A + 7;
     } else if (std::strncmp(A, "--min-speedup=", 14) == 0) {
-      MinSpeedup = std::atof(A + 14);
-      if (MinSpeedup <= 0) {
+      if (!parseDouble(A + 14, MinSpeedup) || MinSpeedup <= 0) {
         std::fprintf(stderr, "error: bad --min-speedup value '%s'\n", A + 14);
         return 2;
       }
@@ -217,12 +213,13 @@ int main(int argc, char **argv) {
         size_t Comma = List.find(',', Pos);
         if (Comma == std::string::npos)
           Comma = List.size();
-        int V = std::atoi(List.substr(Pos, Comma - Pos).c_str());
-        if (V < 1) {
+        unsigned V = 0;
+        if (!parseUnsigned(List.substr(Pos, Comma - Pos).c_str(), V) ||
+            V == 0) {
           std::fprintf(stderr, "error: bad --connections value\n");
           return 2;
         }
-        ConnCounts.push_back(static_cast<unsigned>(V));
+        ConnCounts.push_back(V);
         Pos = Comma + 1;
       }
       if (ConnCounts.empty()) {

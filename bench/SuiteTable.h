@@ -9,27 +9,24 @@
 #define RPCC_BENCH_SUITETABLE_H
 
 #include "driver/SuiteRunner.h"
+#include "support/CommandLine.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace rpcc {
 
-/// Shared argv handling for the figure binaries: an optional first argument
-/// names the worker-thread count (default 1, i.e. the historical serial
-/// behavior).
-inline unsigned suiteTableJobs(int argc, char **argv) {
-  if (argc < 2)
-    return 1;
-  int V = std::atoi(argv[1]);
-  return V >= 1 ? static_cast<unsigned>(V) : 1;
-}
-
 /// Runs the 14-program suite through the paper's four configurations and
-/// prints the requested metric as a Figure 5/6/7-style table. \p Jobs > 1
-/// fans the 56 cells across worker threads; the table is byte-identical
-/// either way.
-inline int runSuiteTable(Metric Which, const char *Title, unsigned Jobs = 1) {
+/// prints the requested metric as a Figure 5/6/7-style table. An optional
+/// first argument names the worker-thread count (default 1, the historical
+/// serial behavior); more fan the 56 cells across worker threads, and the
+/// table is byte-identical either way.
+inline int runSuiteTable(Metric Which, const char *Title, int argc,
+                         char **argv) {
+  unsigned Jobs = 1;
+  if (argc > 1 && (!parseUnsigned(argv[1], Jobs) || Jobs == 0)) {
+    std::fprintf(stderr, "usage: %s [jobs>=1]\n", argv[0]);
+    return 2;
+  }
   std::printf("%s\n", Title);
   std::printf("(14 MiniC programs standing in for the paper's Figure 4 "
               "suite; 16+16 allocatable registers)\n\n");

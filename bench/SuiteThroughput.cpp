@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/SuiteRunner.h"
+#include "support/CommandLine.h"
 #include "support/ThreadPool.h"
 
 #include <cstdio>
@@ -52,12 +53,10 @@ double runOnce(unsigned Jobs, std::string &Tables) {
 int main(int argc, char **argv) {
   unsigned Jobs = ThreadPool::defaultConcurrency();
   if (argc > 1) {
-    int V = std::atoi(argv[1]);
-    if (V < 1) {
+    if (!parseUnsigned(argv[1], Jobs) || Jobs == 0) {
       std::fprintf(stderr, "usage: suite_throughput [jobs>=1]\n");
       return 2;
     }
-    Jobs = static_cast<unsigned>(V);
   }
 
   // Warm-up pass so file loading and allocator warmth don't bias the

@@ -3,7 +3,6 @@
 #include "interp/Decode.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 using namespace rpcc;
@@ -53,49 +52,6 @@ GlobalLayout rpcc::computeGlobalLayout(const Module &M) {
 }
 
 namespace {
-
-/// 1:1 opcode lowerings; the address-mode and control cases are handled
-/// explicitly in decodeInst.
-DecodedOp simpleOp(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add: return DecodedOp::Add;
-  case Opcode::Sub: return DecodedOp::Sub;
-  case Opcode::Mul: return DecodedOp::Mul;
-  case Opcode::Div: return DecodedOp::Div;
-  case Opcode::Rem: return DecodedOp::Rem;
-  case Opcode::And: return DecodedOp::And;
-  case Opcode::Or: return DecodedOp::Or;
-  case Opcode::Xor: return DecodedOp::Xor;
-  case Opcode::Shl: return DecodedOp::Shl;
-  case Opcode::Shr: return DecodedOp::Shr;
-  case Opcode::CmpEq: return DecodedOp::CmpEq;
-  case Opcode::CmpNe: return DecodedOp::CmpNe;
-  case Opcode::CmpLt: return DecodedOp::CmpLt;
-  case Opcode::CmpLe: return DecodedOp::CmpLe;
-  case Opcode::CmpGt: return DecodedOp::CmpGt;
-  case Opcode::CmpGe: return DecodedOp::CmpGe;
-  case Opcode::FAdd: return DecodedOp::FAdd;
-  case Opcode::FSub: return DecodedOp::FSub;
-  case Opcode::FMul: return DecodedOp::FMul;
-  case Opcode::FDiv: return DecodedOp::FDiv;
-  case Opcode::FCmpEq: return DecodedOp::FCmpEq;
-  case Opcode::FCmpNe: return DecodedOp::FCmpNe;
-  case Opcode::FCmpLt: return DecodedOp::FCmpLt;
-  case Opcode::FCmpLe: return DecodedOp::FCmpLe;
-  case Opcode::FCmpGt: return DecodedOp::FCmpGt;
-  case Opcode::FCmpGe: return DecodedOp::FCmpGe;
-  case Opcode::Neg: return DecodedOp::Neg;
-  case Opcode::Not: return DecodedOp::Not;
-  case Opcode::FNeg: return DecodedOp::FNeg;
-  case Opcode::IntToFp: return DecodedOp::IntToFp;
-  case Opcode::FpToInt: return DecodedOp::FpToInt;
-  case Opcode::LoadI: return DecodedOp::LoadI;
-  case Opcode::Copy: return DecodedOp::Copy;
-  default:
-    assert(false && "not a 1:1 lowering");
-    return DecodedOp::Fault;
-  }
-}
 
 uint32_t addFaultMsg(DecodedFunction &DF, std::string Msg) {
   DF.FaultMsgs.push_back(std::move(Msg));
@@ -255,12 +211,8 @@ DecodedInst decodeInst(const Module &M, const GlobalLayout &GL,
     DI.Imm =
         addFaultMsg(DF, "phi reached the interpreter (SSA not destructed)");
     break;
-  case Opcode::kNumOpcodes:
-    DI.D = DecodedOp::Fault;
-    DI.Imm = addFaultMsg(DF, "sentinel opcode reached the interpreter");
-    break;
-  default:
-    DI.D = simpleOp(I.Op);
+  default: // Add through Copy: the decoded opcode of the same value
+    DI.D = static_cast<DecodedOp>(I.Op);
     break;
   }
   return DI;

@@ -80,16 +80,15 @@ struct GlobalLayout {
 
 GlobalLayout computeGlobalLayout(const Module &M);
 
-/// Resolved opcode of one decoded instruction. Address-mode variants split
-/// the tag-addressed operations the switch engine re-resolves every step:
-/// *Abs carry a baked absolute address, *Frame a baked frame offset.
+/// Resolved opcode of one decoded instruction. The register-to-register
+/// opcodes (Add through Copy) come first, generated from ir/Opcode.h with the
+/// same values, so decoding one is a cast. Address-mode variants split the
+/// tag-addressed operations the switch engine re-resolves every step: *Abs
+/// carry a baked absolute address, *Frame a baked frame offset.
 enum class DecodedOp : uint8_t {
-  Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr,
-  CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe,
-  FAdd, FSub, FMul, FDiv,
-  FCmpEq, FCmpNe, FCmpLt, FCmpLe, FCmpGt, FCmpGe,
-  Neg, Not, FNeg, IntToFp, FpToInt,
-  LoadI, LoadF, Copy,
+#define RPCC_DECODED_SAME(E, ...) E,
+  RPCC_REGISTER_OPCODES(RPCC_DECODED_SAME)
+#undef RPCC_DECODED_SAME
   LoadAddrAbs, LoadAddrFrame,
   ScalarLoadAbs, ScalarLoadFrame,
   ScalarStoreAbs, ScalarStoreFrame,
@@ -102,6 +101,8 @@ enum class DecodedOp : uint8_t {
 
 inline constexpr size_t NumDecodedOps =
     static_cast<size_t>(DecodedOp::Fault) + 1;
+static_assert(static_cast<size_t>(DecodedOp::LoadAddrAbs) == NumRegisterOpcodes,
+              "DecodedOp must start with the register-to-register opcodes");
 
 /// DecodedInst::Flags bits: the counting facts the step-loop prologue needs,
 /// precomputed from the original opcode.
@@ -120,7 +121,7 @@ struct DecodedInst {
   /// Original opcode, kept so OpCounters::ByOpcode matches the switch
   /// engine exactly (Load and ConstLoad share PtrLoad, and the address-mode
   /// variants share one opcode).
-  Opcode Op = Opcode::kNumOpcodes;
+  Opcode Op = Opcode::Phi;
   MemType MemTy = MemType::I64;
   uint8_t Flags = 0;
   Reg Result = NoReg;

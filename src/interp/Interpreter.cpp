@@ -580,9 +580,6 @@ uint64_t Machine::executeBody(const Function &F,
     case Opcode::Phi:
       Err.raise("phi reached the interpreter (SSA not destructed)");
       break;
-    case Opcode::kNumOpcodes:
-      Err.raise("sentinel opcode reached the interpreter");
-      break;
     }
     ++PC;
   }

@@ -33,7 +33,7 @@ struct OpCounters {
   uint64_t Loads = 0;
   uint64_t Stores = 0;
   /// Per-opcode dynamic counts, indexed by static_cast<size_t>(Opcode).
-  /// Sized by the enum's sentinel so a new opcode can never silently index
+  /// Sized by the opcode table, so a new opcode can never silently index
   /// out of bounds.
   std::array<uint64_t, NumOpcodes> ByOpcode{};
 

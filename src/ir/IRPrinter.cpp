@@ -70,82 +70,76 @@ std::string rpcc::printInst(const Module &M, const Function &F,
     return K < I.Ops.size() ? regName(I.Ops[K]) : std::string("r?");
   };
 
+  // "rN <- MNEMONIC": defining forms always name their result (r? when it
+  // is missing), calls only when they return one.
+  if (opcodeInfo(I.Op).Result == OpResult::Def ||
+      (isCallOp(I.Op) && I.hasResult()))
+    OS << regName(I.Result) << " <- ";
+  OS << opcodeName(I.Op);
+
   switch (I.Op) {
   case Opcode::LoadI:
-    OS << regName(I.Result) << " <- LOADI " << I.Imm;
-    return OS.str();
+    OS << " " << I.Imm;
+    break;
   case Opcode::LoadF: {
     // %.17g survives a text round-trip exactly.
     char Buf[64];
     std::snprintf(Buf, sizeof(Buf), "%.17g", I.FImm);
-    OS << regName(I.Result) << " <- LOADF " << Buf;
-    return OS.str();
+    OS << " " << Buf;
+    break;
   }
   case Opcode::LoadAddr:
-    OS << regName(I.Result) << " <- LDA " << Tag(I.Tag);
+    OS << " " << Tag(I.Tag);
     if (I.Imm)
       OS << "+" << I.Imm;
-    return OS.str();
+    break;
   case Opcode::ScalarLoad:
-    OS << regName(I.Result) << " <- SLD " << Tag(I.Tag);
-    return OS.str();
+    OS << " " << Tag(I.Tag);
+    break;
   case Opcode::ScalarStore:
-    OS << "SST " << Tag(I.Tag) << " " << Op(0);
-    return OS.str();
+    OS << " " << Tag(I.Tag) << " " << Op(0);
+    break;
   case Opcode::Load:
   case Opcode::ConstLoad:
-    OS << regName(I.Result) << " <- " << opcodeName(I.Op) << memSuffix(I.MemTy)
-       << " [" << Op(0) << "] " << tagSetStr(M, I.Tags);
-    return OS.str();
+    OS << memSuffix(I.MemTy) << " [" << Op(0) << "] " << tagSetStr(M, I.Tags);
+    break;
   case Opcode::Store:
-    OS << "PST" << memSuffix(I.MemTy) << " [" << Op(0) << "] " << Op(1) << " "
+    OS << memSuffix(I.MemTy) << " [" << Op(0) << "] " << Op(1) << " "
        << tagSetStr(M, I.Tags);
-    return OS.str();
-  case Opcode::Call: {
-    if (I.hasResult())
-      OS << regName(I.Result) << " <- ";
-    OS << "JSR " << funcName(M, I.Callee) << "(";
+    break;
+  case Opcode::Call:
+    OS << " " << funcName(M, I.Callee) << "(";
     for (size_t A = 0; A != I.Ops.size(); ++A)
       OS << (A ? "," : "") << regName(I.Ops[A]);
     OS << ") mod" << tagSetStr(M, I.Mods) << " ref" << tagSetStr(M, I.Refs);
     if (I.Tag != NoTag) // allocation call sites carry their heap tag
       OS << " site=[" << tagName(M, I.Tag) << "]";
-    return OS.str();
-  }
-  case Opcode::CallIndirect: {
-    if (I.hasResult())
-      OS << regName(I.Result) << " <- ";
-    OS << "IJSR [" << Op(0) << "](";
+    break;
+  case Opcode::CallIndirect:
+    OS << " [" << Op(0) << "](";
     for (size_t A = 1; A < I.Ops.size(); ++A)
       OS << (A > 1 ? "," : "") << regName(I.Ops[A]);
     OS << ") mod" << tagSetStr(M, I.Mods) << " ref" << tagSetStr(M, I.Refs);
-    return OS.str();
-  }
+    break;
   case Opcode::Br:
-    OS << "BR " << Op(0) << " ? B" << I.Target0 << " : B" << I.Target1;
-    return OS.str();
+    OS << " " << Op(0) << " ? B" << I.Target0 << " : B" << I.Target1;
+    break;
   case Opcode::Jmp:
-    OS << "JMP B" << I.Target0;
-    return OS.str();
+    OS << " B" << I.Target0;
+    break;
   case Opcode::Ret:
-    OS << "RET";
     if (!I.Ops.empty())
       OS << " " << regName(I.Ops[0]);
-    return OS.str();
-  case Opcode::Phi: {
-    OS << regName(I.Result) << " <- PHI";
+    break;
+  case Opcode::Phi:
     for (const auto &[B, R] : I.PhiIns)
       OS << " [B" << B << ":" << regName(R) << "]";
-    return OS.str();
-  }
-  default:
+    break;
+  default: // register-to-register form
+    for (size_t A = 0; A != I.Ops.size(); ++A)
+      OS << (A ? ", " : " ") << regName(I.Ops[A]);
     break;
   }
-
-  // Generic register-to-register form.
-  OS << regName(I.Result) << " <- " << opcodeName(I.Op);
-  for (size_t A = 0; A != I.Ops.size(); ++A)
-    OS << (A ? ", " : " ") << regName(I.Ops[A]);
   return OS.str();
 }
 

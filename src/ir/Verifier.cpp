@@ -10,53 +10,6 @@ using namespace rpcc;
 
 namespace {
 
-/// Operand/result shape of an opcode: how many operand registers it takes
-/// (-1 = variable) and whether it defines a result. The interpreter indexes
-/// Ops[] blindly, so the verifier is the only thing standing between a
-/// malformed instruction and out-of-bounds reads.
-struct OpShape {
-  int NumOps;     ///< exact operand count, or -1 for variable
-  bool HasResult; ///< must define a register
-  bool NoResult;  ///< must NOT define a register
-};
-
-OpShape shapeOf(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add: case Opcode::Sub: case Opcode::Mul: case Opcode::Div:
-  case Opcode::Rem: case Opcode::And: case Opcode::Or: case Opcode::Xor:
-  case Opcode::Shl: case Opcode::Shr:
-  case Opcode::CmpEq: case Opcode::CmpNe: case Opcode::CmpLt:
-  case Opcode::CmpLe: case Opcode::CmpGt: case Opcode::CmpGe:
-  case Opcode::FAdd: case Opcode::FSub: case Opcode::FMul: case Opcode::FDiv:
-  case Opcode::FCmpEq: case Opcode::FCmpNe: case Opcode::FCmpLt:
-  case Opcode::FCmpLe: case Opcode::FCmpGt: case Opcode::FCmpGe:
-    return {2, true, false};
-  case Opcode::Neg: case Opcode::Not: case Opcode::FNeg:
-  case Opcode::IntToFp: case Opcode::FpToInt: case Opcode::Copy:
-    return {1, true, false};
-  case Opcode::LoadI: case Opcode::LoadF: case Opcode::LoadAddr:
-  case Opcode::ScalarLoad:
-    return {0, true, false};
-  case Opcode::ConstLoad: case Opcode::Load:
-    return {1, true, false};
-  case Opcode::ScalarStore:
-    return {1, false, true};
-  case Opcode::Store:
-    return {2, false, true};
-  case Opcode::Br:
-    return {1, false, true};
-  case Opcode::Jmp:
-    return {0, false, true};
-  case Opcode::Phi:
-    return {0, true, false};
-  case Opcode::Call: case Opcode::CallIndirect: case Opcode::Ret:
-    return {-1, false, false}; // checked specially
-  case Opcode::kNumOpcodes:
-    break; // sentinel, never an instruction
-  }
-  return {-1, false, false};
-}
-
 class FunctionVerifier {
 public:
   FunctionVerifier(const Module &M, const Function &F, std::string &Err,
@@ -136,19 +89,23 @@ private:
   }
 
   void checkInst(const BasicBlock &B, const Instruction &I) {
-    OpShape S = shapeOf(I.Op);
-    if (S.NumOps >= 0 && I.Ops.size() != static_cast<size_t>(S.NumOps))
-      failInst(B, I, "expected " + std::to_string(S.NumOps) +
+    // The engines index Ops[] blindly, so this shape check is the only
+    // thing between a malformed instruction and out-of-bounds reads.
+    const OpcodeInfo &Info = opcodeInfo(I.Op);
+    if (Info.NumOps >= 0 && I.Ops.size() != static_cast<size_t>(Info.NumOps))
+      failInst(B, I, "expected " + std::to_string(Info.NumOps) +
                          " operand(s), found " + std::to_string(I.Ops.size()));
-    if (S.HasResult && !I.hasResult())
+    if (Info.Result == OpResult::Def && !I.hasResult())
       failInst(B, I, "instruction must define a result register");
-    if (S.NoResult && I.hasResult())
+    if (Info.Result == OpResult::None && I.hasResult())
       failInst(B, I, "instruction must not define a result register");
 
     if (I.hasResult())
       checkReg(B, I, I.Result);
     for (Reg R : I.Ops)
       checkReg(B, I, R);
+    if (isPointerMemOp(I.Op))
+      checkTagSet(B, I, I.Tags, "tag list");
 
     switch (I.Op) {
     case Opcode::ScalarLoad:
@@ -164,11 +121,6 @@ private:
     case Opcode::LoadAddr:
       if (I.Tag == NoTag || I.Tag >= M.tags().size())
         failInst(B, I, "invalid tag");
-      break;
-    case Opcode::Load:
-    case Opcode::ConstLoad:
-    case Opcode::Store:
-      checkTagSet(B, I, I.Tags, "tag list");
       break;
     case Opcode::Call: {
       if (I.Callee == NoFunc || I.Callee >= M.numFunctions()) {

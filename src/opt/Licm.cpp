@@ -16,11 +16,7 @@ namespace {
 
 /// True for pure ops that can run speculatively in the landing pad (the
 /// pad executes whenever the loop is reached, even for zero iterations).
-bool isSpeculable(Opcode Op) {
-  if (!isPureOp(Op))
-    return false;
-  return Op != Opcode::Div && Op != Opcode::Rem;
-}
+bool isSpeculable(Opcode Op) { return isPureOp(Op) && !mayTrap(Op); }
 
 class FunctionLicm {
 public:

@@ -3,9 +3,9 @@
 #include "opt/Sccp.h"
 
 #include "analysis/Cfg.h"
-#include "support/Arith.h"
+#include "opt/ConstFold.h"
 
-#include <cmath>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -21,71 +21,6 @@ struct Lattice {
   uint64_t Bits = 0;
   bool IsFloat = false;
 };
-
-/// Folds one pure op over constant inputs (division by zero and friends
-/// stay runtime events). Must agree with the interpreter.
-std::optional<Lattice> fold(const Instruction &I,
-                            const std::vector<Lattice> &In) {
-  auto IV = [&](size_t K) { return static_cast<int64_t>(In[K].Bits); };
-  auto DV = [&](size_t K) {
-    double D;
-    std::memcpy(&D, &In[K].Bits, 8);
-    return D;
-  };
-  auto CI = [](int64_t V) {
-    return Lattice{Height::Const, static_cast<uint64_t>(V), false};
-  };
-  auto CB = [](uint64_t B) { return Lattice{Height::Const, B, false}; };
-  auto CD = [](double D) {
-    uint64_t B;
-    std::memcpy(&B, &D, 8);
-    return Lattice{Height::Const, B, true};
-  };
-  switch (I.Op) {
-  case Opcode::Add: return CB(wrapAdd(In[0].Bits, In[1].Bits));
-  case Opcode::Sub: return CB(wrapSub(In[0].Bits, In[1].Bits));
-  case Opcode::Mul: return CB(wrapMul(In[0].Bits, In[1].Bits));
-  case Opcode::Div:
-    if (divFaults(IV(0), IV(1))) // stays a runtime fault, like / 0
-      return std::nullopt;
-    return CI(sdiv(IV(0), IV(1)));
-  case Opcode::Rem:
-    if (IV(1) == 0)
-      return std::nullopt;
-    return CI(srem(IV(0), IV(1)));
-  case Opcode::And: return CI(IV(0) & IV(1));
-  case Opcode::Or: return CI(IV(0) | IV(1));
-  case Opcode::Xor: return CI(IV(0) ^ IV(1));
-  case Opcode::Shl: return CB(shiftLeft(In[0].Bits, In[1].Bits));
-  case Opcode::Shr: return CB(shiftRightArith(In[0].Bits, In[1].Bits));
-  case Opcode::CmpEq: return CI(In[0].Bits == In[1].Bits);
-  case Opcode::CmpNe: return CI(In[0].Bits != In[1].Bits);
-  case Opcode::CmpLt: return CI(IV(0) < IV(1));
-  case Opcode::CmpLe: return CI(IV(0) <= IV(1));
-  case Opcode::CmpGt: return CI(IV(0) > IV(1));
-  case Opcode::CmpGe: return CI(IV(0) >= IV(1));
-  case Opcode::FAdd: return CD(DV(0) + DV(1));
-  case Opcode::FSub: return CD(DV(0) - DV(1));
-  case Opcode::FMul: return CD(DV(0) * DV(1));
-  case Opcode::FDiv: return CD(DV(0) / DV(1));
-  case Opcode::FCmpEq: return CI(DV(0) == DV(1));
-  case Opcode::FCmpNe: return CI(DV(0) != DV(1));
-  case Opcode::FCmpLt: return CI(DV(0) < DV(1));
-  case Opcode::FCmpLe: return CI(DV(0) <= DV(1));
-  case Opcode::FCmpGt: return CI(DV(0) > DV(1));
-  case Opcode::FCmpGe: return CI(DV(0) >= DV(1));
-  case Opcode::Neg: return CB(wrapNeg(In[0].Bits));
-  case Opcode::Not: return CI(~IV(0));
-  case Opcode::FNeg: return CD(-DV(0));
-  case Opcode::IntToFp: return CD(static_cast<double>(IV(0)));
-  case Opcode::FpToInt:
-    return CI(fpToIntSat(DV(0)));
-  case Opcode::LoadI: return CI(I.Imm);
-  case Opcode::LoadF: return CD(I.FImm);
-  default:
-    return std::nullopt;
-  }
-}
 
 class SccpSolver {
 public:
@@ -167,26 +102,37 @@ private:
     if (!I.hasResult())
       return false;
 
-    // Memory, calls, addresses: runtime values.
-    if (isLoadOp(I.Op) || isCallOp(I.Op) || I.Op == Opcode::LoadAddr ||
-        I.Op == Opcode::Phi)
+    // Memory, calls, phis, addresses: runtime values.
+    if (!isPureOp(I.Op) || I.Op == Opcode::LoadAddr)
       return meet(I.Result, Lattice{Height::Bottom, 0, false});
 
-    std::vector<Lattice> In;
-    In.reserve(I.Ops.size());
-    bool AnyTop = false, AnyBottom = false;
-    for (Reg R : I.Ops) {
-      In.push_back(Vals[R]);
-      AnyTop |= Vals[R].H == Height::Top;
-      AnyBottom |= Vals[R].H == Height::Bottom;
+    if (I.Op == Opcode::LoadI)
+      return meet(I.Result, constant(static_cast<uint64_t>(I.Imm), false));
+    if (I.Op == Opcode::LoadF)
+      return meet(I.Result, constant(std::bit_cast<uint64_t>(I.FImm), true));
+
+    // Pure arithmetic: fold once every operand is a constant. Foldable
+    // operations are unary or binary.
+    uint64_t In[2] = {0, 0};
+    bool AnyBottom = false;
+    for (size_t K = 0; K != I.Ops.size(); ++K) {
+      const Lattice &V = Vals[I.Ops[K]];
+      if (V.H == Height::Top)
+        return false; // wait for operands
+      AnyBottom |= V.H == Height::Bottom;
+      if (K < 2)
+        In[K] = V.Bits;
     }
-    if (AnyTop)
-      return false; // wait for operands
-    if (AnyBottom && I.Op != Opcode::LoadI && I.Op != Opcode::LoadF)
+    std::optional<uint64_t> Out;
+    if (!AnyBottom && I.Ops.size() <= 2)
+      Out = foldConstant(I.Op, In[0], In[1]);
+    if (!Out)
       return meet(I.Result, Lattice{Height::Bottom, 0, false});
-    if (auto Out = fold(I, In))
-      return meet(I.Result, *Out);
-    return meet(I.Result, Lattice{Height::Bottom, 0, false});
+    return meet(I.Result, constant(*Out, isFloatResult(I.Op)));
+  }
+
+  static Lattice constant(uint64_t Bits, bool IsFloat) {
+    return Lattice{Height::Const, Bits, IsFloat};
   }
 
   void rewrite() {

@@ -2,12 +2,11 @@
 
 #include "opt/ValueNumbering.h"
 
-#include "support/Arith.h"
+#include "opt/ConstFold.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -18,79 +17,11 @@ namespace {
 
 using VN = uint32_t;
 
-/// A constant lattice value: integer or double, both carried as bit
-/// patterns plus a float flag.
+/// A constant value: an integer or a double's bit pattern, plus which.
 struct ConstVal {
   uint64_t Bits = 0;
   bool IsFloat = false;
-
-  int64_t asInt() const { return static_cast<int64_t>(Bits); }
-  double asFloat() const {
-    double D;
-    std::memcpy(&D, &Bits, 8);
-    return D;
-  }
-  static ConstVal fromInt(int64_t V) {
-    return ConstVal{static_cast<uint64_t>(V), false};
-  }
-  static ConstVal fromBits(uint64_t B) { return ConstVal{B, false}; }
-  static ConstVal fromFloat(double D) {
-    uint64_t B;
-    std::memcpy(&B, &D, 8);
-    return ConstVal{B, true};
-  }
 };
-
-/// Folds a pure operation over constants; nullopt when not foldable (e.g.
-/// division by zero must remain a runtime event).
-std::optional<ConstVal> foldOp(Opcode Op, const std::vector<ConstVal> &C) {
-  auto I = [&](size_t K) { return C[K].asInt(); };
-  auto D = [&](size_t K) { return C[K].asFloat(); };
-  switch (Op) {
-  case Opcode::Add: return ConstVal::fromBits(wrapAdd(C[0].Bits, C[1].Bits));
-  case Opcode::Sub: return ConstVal::fromBits(wrapSub(C[0].Bits, C[1].Bits));
-  case Opcode::Mul: return ConstVal::fromBits(wrapMul(C[0].Bits, C[1].Bits));
-  case Opcode::Div:
-    if (divFaults(I(0), I(1))) // stays a runtime fault, like / 0
-      return std::nullopt;
-    return ConstVal::fromInt(sdiv(I(0), I(1)));
-  case Opcode::Rem:
-    if (I(1) == 0)
-      return std::nullopt;
-    return ConstVal::fromInt(srem(I(0), I(1)));
-  case Opcode::And: return ConstVal::fromInt(I(0) & I(1));
-  case Opcode::Or: return ConstVal::fromInt(I(0) | I(1));
-  case Opcode::Xor: return ConstVal::fromInt(I(0) ^ I(1));
-  case Opcode::Shl:
-    return ConstVal::fromBits(shiftLeft(C[0].Bits, C[1].Bits));
-  case Opcode::Shr:
-    return ConstVal::fromBits(shiftRightArith(C[0].Bits, C[1].Bits));
-  case Opcode::CmpEq: return ConstVal::fromInt(I(0) == I(1));
-  case Opcode::CmpNe: return ConstVal::fromInt(I(0) != I(1));
-  case Opcode::CmpLt: return ConstVal::fromInt(I(0) < I(1));
-  case Opcode::CmpLe: return ConstVal::fromInt(I(0) <= I(1));
-  case Opcode::CmpGt: return ConstVal::fromInt(I(0) > I(1));
-  case Opcode::CmpGe: return ConstVal::fromInt(I(0) >= I(1));
-  case Opcode::FAdd: return ConstVal::fromFloat(D(0) + D(1));
-  case Opcode::FSub: return ConstVal::fromFloat(D(0) - D(1));
-  case Opcode::FMul: return ConstVal::fromFloat(D(0) * D(1));
-  case Opcode::FDiv: return ConstVal::fromFloat(D(0) / D(1));
-  case Opcode::FCmpEq: return ConstVal::fromInt(D(0) == D(1));
-  case Opcode::FCmpNe: return ConstVal::fromInt(D(0) != D(1));
-  case Opcode::FCmpLt: return ConstVal::fromInt(D(0) < D(1));
-  case Opcode::FCmpLe: return ConstVal::fromInt(D(0) <= D(1));
-  case Opcode::FCmpGt: return ConstVal::fromInt(D(0) > D(1));
-  case Opcode::FCmpGe: return ConstVal::fromInt(D(0) >= D(1));
-  case Opcode::Neg: return ConstVal::fromBits(wrapNeg(C[0].Bits));
-  case Opcode::Not: return ConstVal::fromInt(~I(0));
-  case Opcode::FNeg: return ConstVal::fromFloat(-D(0));
-  case Opcode::IntToFp: return ConstVal::fromFloat(static_cast<double>(I(0)));
-  case Opcode::FpToInt:
-    return ConstVal::fromInt(fpToIntSat(D(0)));
-  default:
-    return std::nullopt;
-  }
-}
 
 /// One function's numbering state. Every table is either dense (indexed by
 /// register, tag, or value number) or a retained-capacity hash map; the
@@ -240,9 +171,9 @@ private:
     Instruction NewI(C.IsFloat ? Opcode::LoadF : Opcode::LoadI);
     NewI.Result = I.Result;
     if (C.IsFloat)
-      NewI.FImm = C.asFloat();
+      NewI.FImm = std::bit_cast<double>(C.Bits);
     else
-      NewI.Imm = C.asInt();
+      NewI.Imm = static_cast<int64_t>(C.Bits);
     I = std::move(NewI);
   }
 
@@ -250,10 +181,10 @@ private:
     Instruction &I = *B.insts()[Idx];
     switch (I.Op) {
     case Opcode::LoadI:
-      setVn(I.Result, vnOfConst(ConstVal::fromInt(I.Imm)));
+      setVn(I.Result, vnOfConst({static_cast<uint64_t>(I.Imm), false}));
       return;
     case Opcode::LoadF:
-      setVn(I.Result, vnOfConst(ConstVal::fromFloat(I.FImm)));
+      setVn(I.Result, vnOfConst({std::bit_cast<uint64_t>(I.FImm), true}));
       return;
     case Opcode::Copy:
       setVn(I.Result, vnOf(I.Ops[0]));
@@ -352,23 +283,25 @@ private:
       break;
     }
 
-    // Pure computation: fold or reuse.
+    // Pure computation: fold or reuse. Foldable operations are unary or
+    // binary.
     std::vector<VN> OpVns;
     OpVns.reserve(I.Ops.size());
-    std::vector<ConstVal> Consts;
-    bool AllConst = true;
-    for (Reg R : I.Ops) {
-      VN V = vnOf(R);
+    uint64_t Bits[2] = {0, 0};
+    bool AllConst = !I.Ops.empty() && I.Ops.size() <= 2;
+    for (size_t K = 0; K != I.Ops.size(); ++K) {
+      VN V = vnOf(I.Ops[K]);
       OpVns.push_back(V);
       if (auto C = constOf(V); C && AllConst)
-        Consts.push_back(*C);
+        Bits[K] = C->Bits;
       else
         AllConst = false;
     }
-    if (AllConst && !I.Ops.empty()) {
-      if (auto Folded = foldOp(I.Op, Consts)) {
-        replaceWithConst(I, *Folded);
-        setVn(I.Result, vnOfConst(*Folded));
+    if (AllConst) {
+      if (auto Folded = foldConstant(I.Op, Bits[0], Bits[1])) {
+        ConstVal C{*Folded, isFloatResult(I.Op)};
+        replaceWithConst(I, C);
+        setVn(I.Result, vnOfConst(C));
         ++Stats.Folded;
         return;
       }

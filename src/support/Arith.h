@@ -6,9 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One source of truth for the IL's integer semantics. The interpreter and
-/// both constant folders (value numbering, SCCP) must agree bit-for-bit, and
-/// none of them may commit host-level undefined behavior while doing so:
+/// One source of truth for the IL's integer semantics. The engines and the
+/// constant folder (opt/ConstFold, shared by value numbering and SCCP) must
+/// agree bit-for-bit — ConstFoldTest checks the folder against the switch
+/// engine over edge operands — and none of them may commit host-level
+/// undefined behavior while doing so:
 /// the differential fuzzer compiles the same program many ways and demands
 /// identical observable behavior, so "the optimizer folded it one way and
 /// the interpreter computed it another" is a reportable bug, and a host
@@ -19,8 +21,8 @@
 ///   * Shl/Shr use only the low 6 bits of the shift amount; Shr is
 ///     arithmetic (sign-propagating).
 ///   * Div traps at runtime for divisor 0 and for INT64_MIN / -1 (the one
-///     quotient that does not fit); constant folders must leave both cases
-///     in the code as runtime events.
+///     quotient that does not fit); the constant folder must leave both
+///     cases in the code as runtime events.
 ///   * Rem traps for divisor 0; INT64_MIN % -1 is defined as 0 (the value
 ///     the mathematical remainder has, and what hardware without the
 ///     overflow trap would produce).
@@ -67,7 +69,7 @@ inline uint64_t shiftRightArith(uint64_t V, uint64_t Amt) {
 
 /// Saturating double -> int64 conversion: NaN -> 0, out-of-range clamps.
 /// A plain static_cast of NaN or an out-of-range double is UB in C++; every
-/// FpToInt in the system (interpreter, folders, initializer evaluation)
+/// FpToInt in the system (engines, constant folder, initializer evaluation)
 /// must produce this exact value.
 inline int64_t fpToIntSat(double V) {
   if (V != V) // NaN

@@ -5,9 +5,11 @@
 #include "driver/Compiler.h"
 #include "frontend/Lowering.h"
 #include "interp/Interpreter.h"
+#include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
 #include "opt/Cleanup.h"
+#include "opt/ConstFold.h"
 #include "opt/CopyProp.h"
 #include "opt/Dce.h"
 #include "opt/Licm.h"
@@ -16,6 +18,10 @@
 #include "opt/ValueNumbering.h"
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <limits>
 
 using namespace rpcc;
 
@@ -206,6 +212,93 @@ TEST(SccpTest, MeetOverMultipleDefs) {
   EXPECT_EQ(countOps(*M, "main", Opcode::Mul), 1u);
   ExecResult R = interpret(*M);
   EXPECT_EQ(R.ExitCode, 6);
+}
+
+/// Runs `OP r0, r1` on the reference switch engine, with both operands
+/// materialized from their bit patterns by LOADI, and returns main's result.
+ExecResult runOneOp(Opcode Op, uint64_t A, uint64_t B) {
+  Module M;
+  Function *F = M.addFunction("main");
+  F->setReturn(true, RegType::Int);
+  IRBuilder Bld(M, F);
+  Bld.setBlock(F->newBlock("entry"));
+  Reg RA = Bld.emitLoadI(static_cast<int64_t>(A));
+  Reg RB = Bld.emitLoadI(static_cast<int64_t>(B));
+  Instruction I(Op);
+  I.Ops = {RA};
+  if (opcodeInfo(Op).NumOps == 2)
+    I.Ops.push_back(RB);
+  I.Result = F->newReg(RegType::Int);
+  Reg R = I.Result;
+  F->block(0)->append(std::move(I));
+  Bld.emitRet(R);
+  std::string Err;
+  EXPECT_TRUE(verifyModule(M, Err)) << Err;
+  InterpOptions Opts;
+  Opts.Engine = InterpEngine::Switch;
+  return interpret(M, Opts);
+}
+
+TEST(ConstFoldTest, MatchesSwitchInterpreter) {
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  auto Bits = [](double D) { return std::bit_cast<uint64_t>(D); };
+  // Every operand pattern is tried as an integer and as a double: 0 is also
+  // +0.0, INT64_MIN is -0.0, and -1 and INT64_MAX are NaNs.
+  const uint64_t Edges[] = {
+      0, 1, static_cast<uint64_t>(-1),
+      static_cast<uint64_t>(INT64_MIN), static_cast<uint64_t>(INT64_MAX),
+      63, 64, 65,
+      Bits(std::nan("")), Bits(Inf), Bits(-Inf), Bits(1.0),
+      Bits(-1.0), Bits(9.3e18), Bits(-9.3e18)};
+  static_assert(std::size(Edges) == 15);
+  EXPECT_EQ(Bits(-0.0), static_cast<uint64_t>(INT64_MIN));
+  size_t Foldable = 0, Faults = 0, BothNaN = 0;
+  for (size_t K = 0; K != NumOpcodes; ++K) {
+    Opcode Op = static_cast<Opcode>(K);
+    SCOPED_TRACE(opcodeName(Op));
+    // Arithmetic: pure, with register operands, and not a plain copy.
+    if (!isPureOp(Op) || opcodeInfo(Op).NumOps < 1 || Op == Opcode::Copy) {
+      EXPECT_FALSE(foldConstant(Op, 1, 2));
+      continue;
+    }
+    ++Foldable;
+    for (uint64_t A : Edges)
+      for (uint64_t B : Edges) {
+        if (opcodeInfo(Op).NumOps == 1 && B != 0)
+          continue;
+        std::optional<uint64_t> Folded = foldConstant(Op, A, B);
+        ExecResult R = runOneOp(Op, A, B);
+        // Which NaN's payload survives is the host's choice; the folder
+        // leaves it to the engine.
+        if (isFloatResult(Op) && opcodeInfo(Op).NumOps == 2 &&
+            std::isnan(std::bit_cast<double>(A)) &&
+            std::isnan(std::bit_cast<double>(B))) {
+          EXPECT_FALSE(Folded) << std::hex << A << ", " << B;
+          EXPECT_TRUE(R.Ok) << R.Error;
+          ++BothNaN;
+          continue;
+        }
+        ASSERT_EQ(Folded.has_value(), R.Ok)
+            << std::hex << A << ", " << B << ": " << R.Error;
+        if (R.Ok)
+          EXPECT_EQ(*Folded, static_cast<uint64_t>(R.ExitCode))
+              << std::hex << A << ", " << B;
+        else
+          ++Faults;
+      }
+  }
+  EXPECT_EQ(Foldable, 31u);
+  // x / 0 and x % 0 for each of the 15 dividends, plus INT64_MIN / -1.
+  EXPECT_EQ(Faults, 15u + 15u + 1u);
+  // -1, INT64_MAX and the NaN are NaN patterns: 3 x 3 pairs for each of
+  // FADD, FSUB, FMUL and FDIV.
+  EXPECT_EQ(BothNaN, 4u * 9u);
+  const uint64_t Min = static_cast<uint64_t>(INT64_MIN);
+  const uint64_t MinusOne = static_cast<uint64_t>(-1);
+  EXPECT_FALSE(foldConstant(Opcode::Div, Min, MinusOne));
+  EXPECT_FALSE(foldConstant(Opcode::Div, 7, 0));
+  EXPECT_FALSE(foldConstant(Opcode::Rem, 7, 0));
+  EXPECT_EQ(foldConstant(Opcode::Rem, Min, MinusOne), std::optional<uint64_t>(0));
 }
 
 TEST(LicmTest, HoistsInvariantArithmetic) {

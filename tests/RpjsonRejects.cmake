@@ -102,6 +102,9 @@ set(CASES
   "bench|bench-interp-median-missing.json|bench results[1]: missing key 'median_ms'"
   "bench|bench-interp-runs.json|bench results[1]: runs must be at least 1"
   "bench|bench-interp-spread-order.json|bench results[1]: wall_ms <= median_ms <= max_ms does not hold"
+  "bench|bench-compile-provenance-missing.json|bench: missing key 'build_type'"
+  "bench|bench-compile-median-missing.json|bench results[1]: missing key 'median_ms'"
+  "bench|bench-compile-spread-order.json|bench results[1]: wall_ms <= median_ms <= max_ms does not hold"
   "bench|work/deep.json|bench: nesting too deep"
   "bench|bench-number-bare-point.json|bench: malformed number at offset 10"
   "bench|bench-number-bare-exponent.json|bench: malformed number at offset 68"

@@ -23,6 +23,7 @@
 #include "obs/Remark.h"
 #include "obs/TagProfile.h"
 #include "obs/Trace.h"
+#include "support/CommandLine.h"
 #include "support/Format.h"
 
 #include <cstdio>
@@ -141,23 +142,6 @@ bool readFile(const char *Path, std::string &Out) {
   std::ostringstream SS;
   SS << In.rdbuf();
   Out = SS.str();
-  return true;
-}
-
-/// Strict base-10 parse: non-empty, every character a digit, fits unsigned.
-/// Rejects the "12abc" and "" inputs that atoi silently accepts.
-bool parseUnsigned(const char *S, unsigned &Out) {
-  if (!*S)
-    return false;
-  uint64_t V = 0;
-  for (; *S; ++S) {
-    if (*S < '0' || *S > '9')
-      return false;
-    V = V * 10 + static_cast<uint64_t>(*S - '0');
-    if (V > 0xFFFFFFFFull)
-      return false;
-  }
-  Out = static_cast<unsigned>(V);
   return true;
 }
 
@@ -364,28 +348,6 @@ int runSuiteMode(unsigned Jobs, const TimingOptions &Timing,
 } // namespace
 
 namespace {
-
-/// Matches a mandatory-value flag in both its "--flag=V" and "--flag V"
-/// spellings. Returns 0 on no match, 1 on match (Val filled, I advanced in
-/// the space form), -1 on a match with the value missing.
-int matchValueFlag(int argc, char **argv, int &I, const char *Name,
-                   std::string &Val) {
-  const char *A = argv[I];
-  size_t N = std::strlen(Name);
-  if (std::strncmp(A, Name, N) != 0)
-    return 0;
-  if (A[N] == '=') {
-    Val = A + N + 1;
-    return Val.empty() ? -1 : 1;
-  }
-  if (A[N] == '\0') {
-    if (I + 1 >= argc)
-      return -1;
-    Val = argv[++I];
-    return 1;
-  }
-  return 0;
-}
 
 /// Splits a comma-separated list, rejecting empty items.
 bool splitList(const std::string &S, std::vector<std::string> &Out) {

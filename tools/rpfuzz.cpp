@@ -27,6 +27,7 @@
 #include "fuzz/Reducer.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/CommandLine.h"
 
 #include <cstdio>
 #include <cstring>
@@ -95,23 +96,6 @@ void usage() {
       "                      failure to preserve while shrinking\n"
       "                      (default diverge, on the quick matrix)\n",
       stderr);
-}
-
-/// Strict base-10 parse: every character a digit, value fits in uint64_t.
-bool parseU64(const char *S, uint64_t &Out) {
-  if (!*S)
-    return false;
-  uint64_t V = 0;
-  for (; *S; ++S) {
-    if (*S < '0' || *S > '9')
-      return false;
-    uint64_t D = static_cast<uint64_t>(*S - '0');
-    if (V > (UINT64_MAX - D) / 10)
-      return false;
-    V = V * 10 + D;
-  }
-  Out = V;
-  return true;
 }
 
 InterpOptions fuzzInterpOptions(InterpEngine Engine) {
@@ -216,17 +200,17 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     const char *A = argv[I];
     if (std::strncmp(A, "--runs=", 7) == 0) {
-      if (!parseU64(A + 7, Campaign.Runs) || Campaign.Runs == 0) {
+      if (!parseUnsigned(A + 7, Campaign.Runs) || Campaign.Runs == 0) {
         std::fprintf(stderr, "error: bad --runs value '%s'\n", A + 7);
         return 3;
       }
     } else if (std::strncmp(A, "--seed=", 7) == 0) {
-      if (!parseU64(A + 7, Campaign.Seed0)) {
+      if (!parseUnsigned(A + 7, Campaign.Seed0)) {
         std::fprintf(stderr, "error: bad --seed value '%s'\n", A + 7);
         return 3;
       }
     } else if (std::strncmp(A, "--jobs=", 7) == 0) {
-      if (!parseU64(A + 7, Jobs) || Jobs == 0 || Jobs > 1024) {
+      if (!parseUnsigned(A + 7, Jobs) || Jobs == 0 || Jobs > 1024) {
         std::fprintf(stderr, "error: bad --jobs value '%s'\n", A + 7);
         return 3;
       }
@@ -252,7 +236,7 @@ int main(int argc, char **argv) {
       Campaign.Sandbox = true;
     } else if (std::strncmp(A, "--sandbox-wall=", 15) == 0) {
       uint64_t S = 0;
-      if (!parseU64(A + 15, S) || S == 0) {
+      if (!parseUnsigned(A + 15, S) || S == 0) {
         std::fprintf(stderr, "error: bad --sandbox-wall value '%s'\n",
                      A + 15);
         return 3;
@@ -260,7 +244,7 @@ int main(int argc, char **argv) {
       Campaign.Limits.WallSeconds = static_cast<double>(S);
     } else if (std::strncmp(A, "--sandbox-mem=", 14) == 0) {
       uint64_t MB = 0;
-      if (!parseU64(A + 14, MB) || MB == 0) {
+      if (!parseUnsigned(A + 14, MB) || MB == 0) {
         std::fprintf(stderr, "error: bad --sandbox-mem value '%s'\n",
                      A + 14);
         return 3;
@@ -275,7 +259,7 @@ int main(int argc, char **argv) {
         return 3;
       }
     } else if (std::strncmp(A, "--emit=", 7) == 0) {
-      if (!parseU64(A + 7, EmitSeedVal)) {
+      if (!parseUnsigned(A + 7, EmitSeedVal)) {
         std::fprintf(stderr, "error: bad --emit value '%s'\n", A + 7);
         return 3;
       }
@@ -312,7 +296,7 @@ int main(int argc, char **argv) {
         return 3;
       }
     } else if (std::strncmp(A, "--heartbeat=", 12) == 0) {
-      if (!parseU64(A + 12, HeartbeatSecs) || HeartbeatSecs == 0 ||
+      if (!parseUnsigned(A + 12, HeartbeatSecs) || HeartbeatSecs == 0 ||
           HeartbeatSecs > 0xFFFFFFFFu) {
         std::fprintf(stderr, "error: bad --heartbeat value '%s'\n", A + 12);
         return 3;

@@ -30,9 +30,10 @@
 //                          histograms reduced to their count —
 //                          byte-comparable across runs and worker counts
 //   rpjson bench FILE      benchmark report (bench/interp_throughput
-//                          --json, compile_throughput --json): engine/mode
-//                          discipline, per-program step agreement across
-//                          engines, jit geomean presence
+//                          --json, compile_time --cache-bench --json):
+//                          engine/mode discipline, provenance, per-row
+//                          spread order, per-program step agreement
+//                          across engines, jit geomean presence
 //   rpjson bench-served FILE
 //                          serving benchmark report (bench/served_throughput
 //                          --json): scenario discipline, per-row rate and
@@ -741,21 +742,19 @@ int checkProm(const std::string &Text) {
 /// shared. Cross-row semantics are checked too: every engine must report
 /// the same step count for a program (the engines are observationally
 /// identical by contract), and the jit geomean must be present exactly
-/// when jit rows are. An interp report also records its provenance (build
+/// when jit rows are. Every report also records its provenance (build
 /// type, commit, core count) and each row's spread over its timed runs,
 /// ordered wall_ms (the minimum) <= median_ms <= max_ms.
 const Shape BenchShape = {num("reps", 1), num("geomean_speedup"),
                           arr("results")};
 const Shape BenchRowShape = {str("program"), num("wall_ms", 0)};
+const Shape SpreadShape = {num("median_ms", 0), num("max_ms", 0),
+                           num("runs", 1)};
 const Shape InterpRowShape = {str("engine", {"switch", "fastpath", "jit"}),
-                              num("steps"),
-                              num("median_ms", 0),
-                              num("max_ms", 0),
-                              num("runs", 1),
-                              optional(num("compile_ms", 0))};
-const Shape InterpProvenanceShape = {str("build_type"), str("commit"),
-                                     num("nproc", 1)};
+                              num("steps"), optional(num("compile_ms", 0))};
 const Shape CompileRowShape = {str("mode", {"uncached", "cached"})};
+const Shape ProvenanceShape = {str("build_type"), str("commit"),
+                               num("nproc", 1)};
 
 int checkBench(const std::string &Text) {
   JsonValue V;
@@ -766,40 +765,43 @@ int checkBench(const std::string &Text) {
   const JsonValue *Results = get(V, "results", Arr);
   if (Results && Results->Items.empty())
     C.problem("bench", "results is empty");
-  bool SawJit = false, SawInterp = false;
+  bool SawJit = false, SawRow = false;
   std::map<std::string, double> StepsOf;
   auto Rules = [&](const JsonValue &R, const std::string &At, size_t) {
     bool HasEngine = R.field("engine"), HasMode = R.field("mode");
     if (HasEngine && HasMode) {
       C.problem(At, "row has both 'engine' and 'mode'");
-    } else if (HasEngine) {
-      C.checkFields(R, At, InterpRowShape);
-      SawInterp = true;
-      const JsonValue *Min = get(R, "wall_ms", Num);
-      const JsonValue *Median = get(R, "median_ms", Num);
-      const JsonValue *Max = get(R, "max_ms", Num);
-      if (Min && Median && Max &&
-          !(Min->Num <= Median->Num && Median->Num <= Max->Num))
-        C.problem(At, "wall_ms <= median_ms <= max_ms does not hold");
-      const JsonValue *Engine = get(R, "engine", Str);
-      SawJit |= Engine && Engine->Str == "jit";
-      const JsonValue *Prog = get(R, "program", Str);
-      const JsonValue *Steps = get(R, "steps", Num);
-      if (Prog && Steps) {
-        auto [It, New] = StepsOf.emplace(Prog->Str, Steps->Num);
-        if (!New && It->second != Steps->Num)
-          C.problem(At, "engines disagree on steps for '" + Prog->Str + "'");
-      }
-    } else if (HasMode) {
-      C.checkFields(R, At, CompileRowShape);
-    } else {
+      return;
+    }
+    if (!HasEngine && !HasMode) {
       C.problem(At, "row needs 'engine' (interp bench) or 'mode' (compile "
                     "bench)");
+      return;
+    }
+    SawRow = true;
+    C.checkFields(R, At, HasEngine ? InterpRowShape : CompileRowShape);
+    C.checkFields(R, At, SpreadShape);
+    const JsonValue *Min = get(R, "wall_ms", Num);
+    const JsonValue *Median = get(R, "median_ms", Num);
+    const JsonValue *Max = get(R, "max_ms", Num);
+    if (Min && Median && Max &&
+        !(Min->Num <= Median->Num && Median->Num <= Max->Num))
+      C.problem(At, "wall_ms <= median_ms <= max_ms does not hold");
+    if (!HasEngine)
+      return;
+    const JsonValue *Engine = get(R, "engine", Str);
+    SawJit |= Engine && Engine->Str == "jit";
+    const JsonValue *Prog = get(R, "program", Str);
+    const JsonValue *Steps = get(R, "steps", Num);
+    if (Prog && Steps) {
+      auto [It, New] = StepsOf.emplace(Prog->Str, Steps->Num);
+      if (!New && It->second != Steps->Num)
+        C.problem(At, "engines disagree on steps for '" + Prog->Str + "'");
     }
   };
   C.forEachObject(Results, "bench results", BenchRowShape, Rules);
-  if (SawInterp)
-    C.checkFields(V, "bench", InterpProvenanceShape);
+  if (SawRow)
+    C.checkFields(V, "bench", ProvenanceShape);
   if (SawJit)
     C.checkFields(V, "bench", {num("geomean_speedup_jit")});
   else if (V.field("geomean_speedup_jit"))

@@ -28,6 +28,7 @@
 
 #include "driver/PassTiming.h"
 #include "obs/Metrics.h"
+#include "support/CommandLine.h"
 #include "support/Json.h"
 #include "support/JsonParse.h"
 
@@ -74,40 +75,6 @@ void printUsage() {
       "exit codes: 0 all requests answered (and checks passed), 1 failures,\n"
       "2 usage error, 3 bad option value, 4 could not spawn/reach server\n",
       stderr);
-}
-
-bool parseUnsigned(const char *S, unsigned &Out) {
-  if (!*S)
-    return false;
-  uint64_t V = 0;
-  for (; *S; ++S) {
-    if (*S < '0' || *S > '9')
-      return false;
-    V = V * 10 + static_cast<uint64_t>(*S - '0');
-    if (V > 0xFFFFFFFFull)
-      return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-
-int matchValueFlag(int argc, char **argv, int &I, const char *Name,
-                   std::string &Val) {
-  const char *A = argv[I];
-  size_t N = std::strlen(Name);
-  if (std::strncmp(A, Name, N) != 0)
-    return 0;
-  if (A[N] == '=') {
-    Val = A + N + 1;
-    return Val.empty() ? -1 : 1;
-  }
-  if (A[N] == '\0') {
-    if (I + 1 >= argc)
-      return -1;
-    Val = argv[++I];
-    return 1;
-  }
-  return 0;
 }
 
 //===----------------------------------------------------------------------===//
